@@ -59,7 +59,6 @@ fn bench_eval_backends(c: &mut Criterion) {
         let start = Policy::uniform(mdp.n_states(), 0);
         for (name, backend) in [
             ("dense", average::EvalBackend::Dense),
-            ("cached_lu", average::EvalBackend::CachedLu),
             ("sparse_direct", average::EvalBackend::SparseDirect),
         ] {
             let options = average::Options {

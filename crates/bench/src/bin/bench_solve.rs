@@ -10,10 +10,9 @@
 //!    [`average::improve_step_csr`] — all three must pick identical
 //!    policies.
 //! 2. **Evaluation backends** on a synthetic unichain ring: policy
-//!    iteration under `Dense`, `CachedLu` (LU factorization reuse) and
-//!    `SparseDirect` must converge to the same policy and gain
-//!    (≤ 1e-10), with per-backend wall time recorded. A fourth,
-//!    flag-configured backend rides along: `--method` / `--tol` /
+//!    iteration under `Dense` and `SparseDirect` must converge to the
+//!    same policy and gain (≤ 1e-10), with per-backend wall time
+//!    recorded. A third, flag-configured backend rides along: `--method` / `--tol` /
 //!    `--precond` / `--restart` map 1:1 onto
 //!    [`dpm_ctmc::stationary::SolverConfig`] via
 //!    [`average::EvalBackend::parse`] + `with_config`, and must agree
@@ -241,7 +240,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut backend_results = Vec::new();
     for (name, backend) in [
         ("dense", average::EvalBackend::Dense),
-        ("cached_lu", average::EvalBackend::CachedLu),
         ("sparse_direct", average::EvalBackend::SparseDirect),
     ] {
         let options = average::Options {

@@ -6,18 +6,19 @@
 //! trade-offs sit behind one [`Solver`] builder:
 //!
 //! * [`Method::Lu`] — direct solve of the balance equations (dense LU on a
-//!   [`Generator`], sparse LU on the reduced system for a
-//!   [`SparseGenerator`]);
+//!   [`Generator`]; for a [`SparseGenerator`], sparse LU on the
+//!   row-equilibrated normalization-row system that `normalization_system`
+//!   builds, whose solution is `π` itself);
 //! * [`Method::Gth`] — Grassmann–Taksar–Heyman elimination on the
-//!   uniformized chain (dense), or the sparse direct solve of the
-//!   uniformized balance system (sparse); subtraction-free in the dense
-//!   form, the method of choice for stiff chains;
+//!   uniformized chain (dense), or the same sparse direct solve as
+//!   [`Method::Lu`] (sparse); subtraction-free in the dense form, the
+//!   method of choice for stiff chains;
 //! * [`Method::Power`] — power iteration on the uniformized chain;
 //! * [`Method::Iterative`] — Gauss–Seidel sweeps on the balance equations,
 //!   `O(nnz)` per sweep;
 //! * [`Method::BiCgStab`] / [`Method::Gmres`] — the preconditioned Krylov
 //!   tier (`dpm_linalg::krylov`): ILU(0)-preconditioned BiCGSTAB or
-//!   restarted GMRES(m) on the reduced balance system, the `O(nnz)` path
+//!   restarted GMRES(m) on that normalization-row system, the `O(nnz)` path
 //!   for generators of 10⁴–10⁶ states where direct fill-in and stationary
 //!   sweeps both give out.
 //!
@@ -78,14 +79,17 @@ const KRYLOV_REFINEMENT_STEPS: usize = 2;
 pub enum Method {
     /// Direct solve of the balance equations. Dense input: LU with the
     /// normalization row, exact to rounding, `O(n³)` time / `O(n²)`
-    /// memory. Sparse input: [`dpm_linalg::SparseLu`] on the reduced
-    /// system (fix `π_{n-1}`), cost governed by fill-in.
+    /// memory. Sparse input: [`dpm_linalg::SparseLu`] on the
+    /// normalization-row system — the balance rows of `Gᵀ`, each scaled by
+    /// its largest rate, with the last row replaced by all ones — so the
+    /// solution is `π` itself; cost governed by fill-in.
     Lu,
     /// Grassmann–Taksar–Heyman elimination on the uniformized chain.
     /// Subtraction-free in the dense form, the most robust choice on stiff
-    /// chains. Sparse input: the direct solve of the uniformized balance
-    /// system (same elimination as [`Method::Lu`] but on `G/Λ`, keeping
-    /// the no-transition guard and `O(1)`-scaled entries). The default.
+    /// chains. Sparse input: the same sparse direct solve as
+    /// [`Method::Lu`] (row equilibration already keeps the entries
+    /// `O(1)`-scaled), plus GTH's rejection of a chain with no
+    /// transitions. The default.
     #[default]
     Gth,
     /// Power iteration on the uniformized chain. Matrix-free: `O(nnz)` per
@@ -97,12 +101,12 @@ pub enum Method {
     /// normalizing each sweep. `O(nnz)` per sweep and robust to stiffness
     /// (each state is relaxed against its own exit rate).
     Iterative,
-    /// BiCGSTAB with ILU(0) preconditioning on the reduced balance
-    /// system. `O(nnz)` per iteration with short recurrences — the
+    /// BiCGSTAB with ILU(0) preconditioning on the normalization-row
+    /// system [`Method::Lu`] factorizes. `O(nnz)` per iteration with short recurrences — the
     /// lowest-memory Krylov tier for very large sparse generators.
     BiCgStab,
-    /// Restarted GMRES(m) with ILU(0) preconditioning on the reduced
-    /// balance system. Stores `m + 1` basis vectors; the restart length is
+    /// Restarted GMRES(m) with ILU(0) preconditioning on the
+    /// normalization-row system. Stores `m + 1` basis vectors; the restart length is
     /// [`SolverConfig::restart`].
     Gmres,
 }

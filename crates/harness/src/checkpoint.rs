@@ -10,11 +10,13 @@
 //! [`crate::runner::run_plan_resilient`]. It accepts either a journal or
 //! a full schema-v2 artifact (so a finished run's output doubles as a
 //! resume source), validates that the source was written for the *same*
-//! plan — name, root seed, grid and per-task seeds all have to line up —
-//! and tolerates exactly one torn trailing line, the signature of a run
-//! killed mid-append. Anything else malformed is a hard
-//! [`HarnessError::Checkpoint`]: silently dropping interior entries
-//! would break the bit-identical resume guarantee.
+//! plan — name, root seed, grid and per-task seeds all have to line up.
+//! The file mechanics (header, append-and-flush, torn-tail read) are
+//! [`crate::jsonl`]'s: a torn final line, the signature of a run killed
+//! mid-append, is dropped; every other malformed or invalid line —
+//! including a complete final entry that fails validation — is a hard
+//! [`HarnessError::Checkpoint`]: silently dropping entries would break
+//! the bit-identical resume guarantee.
 //!
 //! # Compaction
 //!
@@ -29,12 +31,11 @@
 //! compaction only ever applies to records already validated by a resume.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::Write as _;
 use std::path::Path;
 
 use crate::artifact::SCHEMA_VERSION;
 use crate::json::Json;
+use crate::jsonl::{self, JsonlWriter};
 use crate::plan::Plan;
 use crate::runner::TaskRecord;
 use crate::seed::derive_attempt_seed;
@@ -46,7 +47,7 @@ pub const JOURNAL_TAG: &str = "dpm-harness-checkpoint";
 /// An open checkpoint journal being written by a run.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
+    writer: JsonlWriter,
 }
 
 impl Journal {
@@ -57,21 +58,13 @@ impl Journal {
     ///
     /// Propagates filesystem failures.
     pub fn create(path: impl AsRef<Path>, plan: &Plan) -> Result<Journal, HarnessError> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut file = File::create(path)?;
         let mut header = Json::object();
         header.set("journal", JOURNAL_TAG);
         header.set("schema_version", SCHEMA_VERSION);
         header.set("experiment", plan.name());
         header.set("plan", plan.to_json());
-        writeln!(file, "{}", header.render_compact())?;
-        file.flush()?;
-        Ok(Journal { file })
+        let writer = JsonlWriter::create(path.as_ref(), &header)?;
+        Ok(Journal { writer })
     }
 
     /// Appends one completed task and flushes, so the entry survives a
@@ -81,9 +74,9 @@ impl Journal {
     ///
     /// Propagates filesystem failures.
     pub fn append(&mut self, index: usize, record: &TaskRecord) -> Result<(), HarnessError> {
-        writeln!(self.file, "{}", entry_json(index, record).render_compact())?;
-        self.file.flush()?;
-        Ok(())
+        let mut node = entry_body(record);
+        node.set("task", index);
+        Ok(self.writer.append(&node)?)
     }
 
     /// Appends one *range record* covering the contiguous task indices
@@ -108,16 +101,8 @@ impl Journal {
             "entries",
             Json::Array(records.iter().map(|r| entry_body(r)).collect()),
         );
-        writeln!(self.file, "{}", node.render_compact())?;
-        self.file.flush()?;
-        Ok(())
+        Ok(self.writer.append(&node)?)
     }
-}
-
-fn entry_json(index: usize, record: &TaskRecord) -> Json {
-    let mut node = entry_body(record);
-    node.set("task", index);
-    node
 }
 
 /// The index-free body of a journal entry; range records imply each
@@ -147,20 +132,12 @@ pub fn load_completed(
     plan: &Plan,
 ) -> Result<BTreeMap<usize, TaskRecord>, HarnessError> {
     let text = std::fs::read_to_string(path)?;
-    // A whole-file parse succeeds only for an artifact or a header-only
-    // journal; a journal with entries has trailing lines and falls
-    // through to line-wise parsing.
+    // An artifact is one (multi-line) document; a journal with entries
+    // does not parse whole and is read line by line.
     if let Ok(doc) = Json::parse(&text) {
-        if doc.get("journal").and_then(Json::as_str) == Some(JOURNAL_TAG) {
-            validate_header(&doc, plan)?;
-            return Ok(BTreeMap::new());
-        }
         if doc.get("tasks").is_some() {
             return from_artifact(&doc, plan);
         }
-        return Err(reject(
-            "file is neither a checkpoint journal nor a run artifact",
-        ));
     }
     from_journal(&text, plan)
 }
@@ -194,51 +171,36 @@ fn validate_header(header: &Json, plan: &Plan) -> Result<(), HarnessError> {
 }
 
 fn from_journal(text: &str, plan: &Plan) -> Result<BTreeMap<usize, TaskRecord>, HarnessError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty());
-    let Some((_, header_line)) = lines.next() else {
-        return Err(reject("journal is empty"));
-    };
-    let header =
-        Json::parse(header_line).map_err(|e| reject(format!("malformed journal header: {e}")))?;
+    let (header, records) = jsonl::parse(text).map_err(reject)?;
     if header.get("journal").and_then(Json::as_str) != Some(JOURNAL_TAG) {
-        return Err(reject("first line is not a journal header"));
+        return Err(reject(
+            "file is neither a checkpoint journal nor a run artifact",
+        ));
     }
     validate_header(&header, plan)?;
 
-    let entries: Vec<(usize, &str)> = lines.collect();
     let mut completed = BTreeMap::new();
-    for (position, &(line_number, line)) in entries.iter().enumerate() {
-        let node = match Json::parse(line) {
-            Ok(node) => node,
-            // A torn final line is the normal signature of a run killed
-            // mid-append; that task simply reruns on resume.
-            Err(_) if position + 1 == entries.len() => break,
-            Err(e) => return Err(reject(format!("line {}: {e}", line_number + 1))),
-        };
+    for record in records {
+        let (line, node) = record.map_err(reject)?;
         if let Some(start) = get_usize(&node, "run_start") {
             // A compacted range record: entry k covers task start + k.
             let Some(Json::Array(runs)) = node.get("entries") else {
                 return Err(reject(format!(
-                    "line {}: range record without an `entries` array",
-                    line_number + 1
+                    "line {line}: range record without an `entries` array"
                 )));
             };
             for (offset, entry) in runs.iter().enumerate() {
                 let index = start + offset;
-                let record = record_from_node(entry, plan, index).map_err(|why| {
-                    reject(format!("line {}: entry {offset}: {why}", line_number + 1))
-                })?;
+                let record = record_from_node(entry, plan, index)
+                    .map_err(|why| reject(format!("line {line}: entry {offset}: {why}")))?;
                 completed.insert(index, record);
             }
             continue;
         }
         let index = get_usize(&node, "task")
-            .ok_or_else(|| reject(format!("line {}: missing task index", line_number + 1)))?;
+            .ok_or_else(|| reject(format!("line {line}: missing task index")))?;
         let record = record_from_node(&node, plan, index)
-            .map_err(|why| reject(format!("line {}: {why}", line_number + 1)))?;
+            .map_err(|why| reject(format!("line {line}: {why}")))?;
         completed.insert(index, record);
     }
     Ok(completed)
@@ -278,15 +240,15 @@ fn record_from_node(node: &Json, plan: &Plan, index: usize) -> Result<TaskRecord
         ));
     }
     let (point_index, replication) = plan.task_coordinates(index);
-    if get_usize(node, "point") != Some(point_index)
-        || get_u64(node, "replication") != Some(replication)
+    let get_u64 = |key: &str| node.get(key).and_then(Json::as_u64);
+    if get_usize(node, "point") != Some(point_index) || get_u64("replication") != Some(replication)
     {
         return Err(format!(
             "grid coordinates disagree with plan (expected point {point_index}, replication {replication})"
         ));
     }
-    let seed = get_u64(node, "seed").ok_or("missing seed")?;
-    let attempts = get_u64(node, "attempts")
+    let seed = get_u64("seed").ok_or("missing seed")?;
+    let attempts = get_u64("attempts")
         .and_then(|a| u32::try_from(a).ok())
         .filter(|&a| a >= 1)
         .ok_or("missing or invalid attempt count")?;
@@ -316,15 +278,10 @@ fn record_from_node(node: &Json, plan: &Plan, index: usize) -> Result<TaskRecord
     })
 }
 
-fn get_u64(node: &Json, key: &str) -> Option<u64> {
-    match node.get(key)? {
-        Json::Int(i) => u64::try_from(*i).ok(),
-        _ => None,
-    }
-}
-
 fn get_usize(node: &Json, key: &str) -> Option<usize> {
-    get_u64(node, key).and_then(|v| usize::try_from(v).ok())
+    node.get(key)
+        .and_then(Json::as_u64)
+        .and_then(|v| usize::try_from(v).ok())
 }
 
 #[cfg(test)]
@@ -544,11 +501,23 @@ mod tests {
         let path = temp_path("tampered");
         run_plan_resilient(&p, &RunConfig::new(1).checkpoint(&path), task).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let tampered = text.replacen(&format!("\"seed\":{}", p.task_seed(0)), "\"seed\":1", 1);
-        assert_ne!(text, tampered);
-        std::fs::write(&path, tampered).unwrap();
-        let err = load_completed(&path, &p).unwrap_err();
-        assert!(err.to_string().contains("seed"), "{err}");
+        let last = p.n_tasks() - 1;
+        let final_line = text.trim_end().rsplit_once('\n').unwrap().1;
+        assert!(
+            final_line.contains(&format!("\"task\":{last}")),
+            "{final_line}"
+        );
+        // Task 0 sits on an interior line. The last task's line is the
+        // final one, but it parses, so it is not a torn append: its bad
+        // seed is an error too, not a silently rerun task.
+        for tampered_task in [0, last] {
+            let seed = format!("\"seed\":{}", p.task_seed(tampered_task));
+            let tampered = text.replacen(&seed, "\"seed\":1", 1);
+            assert_ne!(text, tampered);
+            std::fs::write(&path, tampered).unwrap();
+            let err = load_completed(&path, &p).unwrap_err();
+            assert!(err.to_string().contains("seed"), "{err}");
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -89,6 +89,15 @@ impl Json {
         }
     }
 
+    /// The node's value as a `u64`, if it is an integer in range.
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(i) => u64::try_from(*i).ok(),
+            _ => None,
+        }
+    }
+
     /// The node's string value, if it is one.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -479,6 +488,15 @@ mod tests {
         assert!(!compact.contains('\n'), "compact form must be one line");
         assert_eq!(Json::parse(&compact).unwrap(), doc);
         assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+    }
+
+    #[test]
+    fn as_u64_accepts_only_in_range_integers() {
+        assert_eq!(Json::Int(7).as_u64(), Some(7));
+        assert_eq!(Json::from(u64::MAX).as_u64(), Some(u64::MAX));
+        assert_eq!(Json::Int(-1).as_u64(), None);
+        assert_eq!(Json::Int(i128::from(u64::MAX) + 1).as_u64(), None);
+        assert_eq!(Json::Float(7.0).as_u64(), None);
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //! * [`checkpoint`] — the JSONL journal of completed tasks behind
 //!   `--checkpoint` / `--resume`, with range-record compaction of
 //!   carried-forward tasks on resume;
+//! * [`jsonl`] — the header/append/torn-tail-read file mechanics shared
+//!   by that journal and the `dpm-serve` fleet journal;
 //! * [`artifact`] — versioned JSON artifacts (`schema_version`,
 //!   provenance, per-task telemetry) plus a tolerance-aware [`artifact::diff`]
 //!   for regression checking;
@@ -60,6 +62,7 @@ pub mod checkpoint;
 pub mod cli;
 mod error;
 pub mod json;
+pub mod jsonl;
 pub mod plan;
 pub mod pool;
 pub mod runner;

@@ -18,7 +18,7 @@
 
 use dpm_ctmc::stationary::{Method, Precond, SolverConfig};
 use dpm_linalg::krylov::{self, Ilu0, KrylovOptions};
-use dpm_linalg::{CsrMatrix, DMatrix, DVector, Lu, SparseLu};
+use dpm_linalg::{CsrMatrix, DMatrix, DVector, SparseLu};
 
 use crate::{ActionCsr, Ctmdp, MdpError, Policy};
 
@@ -60,16 +60,6 @@ pub enum EvalBackend {
     /// instant-rate surrogates cost nothing extra, retiring that backend's
     /// re-posing caveat.
     SparseDirect,
-    /// Dense LU with factorization reuse across policy-iteration rounds:
-    /// the evaluation system's row `i` depends only on state `i`'s chosen
-    /// action, so after an improvement step that changes `m` actions the
-    /// cached factors are corrected with a Sherman–Morrison–Woodbury
-    /// row-update solve (`O((m+1)·n²)`) instead of refactorized
-    /// (`O(n³)`). Falls back to a full refactorization when more than
-    /// `n/4` rows changed or an `O(nnz)` residual check rejects the
-    /// updated solve. Outside policy iteration this behaves exactly like
-    /// [`EvalBackend::Dense`].
-    CachedLu,
     /// Graceful degradation: the dense LU solve runs first, and a numerical
     /// failure — a `Singular`-induced [`MdpError::NotUnichain`], any
     /// [`MdpError::Numerical`], or a non-finite gain/bias — triggers one
@@ -110,7 +100,6 @@ impl EvalBackend {
             EvalBackend::Dense => "dense",
             EvalBackend::SparseIterative => "sparse-iterative",
             EvalBackend::SparseDirect => "sparse-direct",
-            EvalBackend::CachedLu => "cached-lu",
             EvalBackend::Resilient => "resilient",
             EvalBackend::SparseKrylov { method, .. } => method.name(),
         }
@@ -125,7 +114,6 @@ impl EvalBackend {
             "dense" => Some(EvalBackend::Dense),
             "sparse-iterative" => Some(EvalBackend::SparseIterative),
             "sparse-direct" => Some(EvalBackend::SparseDirect),
-            "cached-lu" => Some(EvalBackend::CachedLu),
             "resilient" => Some(EvalBackend::Resilient),
             "bicgstab" | "gmres" => Some(EvalBackend::SparseKrylov {
                 method: Method::parse(name)?,
@@ -619,9 +607,7 @@ fn evaluate_with(
     backend: EvalBackend,
 ) -> Result<Evaluation, MdpError> {
     match backend {
-        // A one-off evaluation has no factorization to reuse, so the cached
-        // backend degenerates to the plain dense solve.
-        EvalBackend::Dense | EvalBackend::CachedLu => evaluate(mdp, policy, reference_state),
+        EvalBackend::Dense => evaluate(mdp, policy, reference_state),
         EvalBackend::SparseIterative => evaluate_iterative(mdp, policy, reference_state),
         EvalBackend::SparseDirect => evaluate_sparse_direct(mdp, policy, reference_state),
         EvalBackend::Resilient => evaluate_resilient(mdp, policy, reference_state),
@@ -629,141 +615,6 @@ fn evaluate_with(
             evaluate_krylov(mdp, policy, reference_state, method, &config)
         }
     }
-}
-
-/// Cached dense factorization for [`EvalBackend::CachedLu`]: the LU factors
-/// of the evaluation system assembled for `actions`, reusable while the
-/// policy stays close to that base.
-struct EvalCache {
-    lu: Lu,
-    /// Policy actions at factorization time, row by row.
-    actions: Vec<usize>,
-}
-
-/// Maps evaluation-system singularities to the unichain diagnosis, like
-/// [`evaluate`].
-fn lu_or_not_unichain(a: DMatrix) -> Result<Lu, MdpError> {
-    match a.lu() {
-        Ok(lu) => Ok(lu),
-        Err(dpm_linalg::LinalgError::Singular { .. }) => {
-            Err(MdpError::NotUnichain { iteration: 0 })
-        }
-        Err(e) => Err(MdpError::Numerical(e)),
-    }
-}
-
-/// Policy evaluation with dense-LU factorization reuse across rounds.
-///
-/// Assembles the full system and factorizes on the first call (or whenever
-/// the policy drifted more than `n/4` rows from the cached base), and
-/// otherwise corrects the cached solve with a Sherman–Morrison–Woodbury
-/// row update covering exactly the states whose action differs from the
-/// base policy. Every updated solve is certified against the evaluation
-/// equations over the sparse generator; a residual above
-/// `1e-8·(1 + |g| + ‖c‖_∞)` triggers a full refactorization, so results
-/// stay within direct-solve accuracy unconditionally.
-fn evaluate_cached(
-    mdp: &Ctmdp,
-    policy: &Policy,
-    reference_state: usize,
-    cache: &mut Option<EvalCache>,
-) -> Result<Evaluation, MdpError> {
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    if reference_state >= n {
-        return Err(MdpError::InvalidParameter {
-            reason: format!("reference state {reference_state} out of range for {n} states"),
-        });
-    }
-    let col_of = |j: usize| -> Option<usize> {
-        use std::cmp::Ordering;
-        match j.cmp(&reference_state) {
-            Ordering::Less => Some(1 + j),
-            Ordering::Equal => None,
-            Ordering::Greater => Some(j),
-        }
-    };
-    let costs = mdp.cost_rates_for(policy)?;
-    let b = DVector::from_fn(n, |i| -costs[i]);
-
-    let refresh_limit = (n / 4).max(1);
-    let changed: Vec<usize> = match cache {
-        Some(c) => (0..n)
-            .filter(|&i| c.actions[i] != policy.action(i))
-            .collect(),
-        None => (0..n).collect(),
-    };
-
-    if let Some(c) = cache.as_ref() {
-        if changed.len() <= refresh_limit {
-            // Δrow_i = row_i(new action) − row_i(base action); only the
-            // generator entries differ (the gain column is constant).
-            let updates: Vec<(usize, DVector)> = changed
-                .iter()
-                .map(|&i| {
-                    let mut delta = DVector::zeros(n);
-                    let new = &mdp.actions(i)[policy.action(i)];
-                    let old = &mdp.actions(i)[c.actions[i]];
-                    for &(to, rate) in new.rates() {
-                        if let Some(col) = col_of(to) {
-                            delta[col] += rate;
-                        }
-                    }
-                    for &(to, rate) in old.rates() {
-                        if let Some(col) = col_of(to) {
-                            delta[col] -= rate;
-                        }
-                    }
-                    if let Some(col) = col_of(i) {
-                        delta[col] -= new.exit_rate() - old.exit_rate();
-                    }
-                    (i, delta)
-                })
-                .collect();
-            if let Ok(solution) = c.lu.solve_updated(&updates, &b) {
-                let gain = solution[0];
-                let bias = DVector::from_fn(n, |j| match col_of(j) {
-                    Some(col) => solution[col],
-                    None => 0.0,
-                });
-                let eval = Evaluation { gain, bias };
-                if let (true, Ok(residual)) = (
-                    eval.gain.is_finite() && eval.bias.iter().all(f64::is_finite),
-                    evaluation_residual(mdp, policy, |_| eval.gain, &eval.bias),
-                ) {
-                    let scale = 1.0 + eval.gain.abs() + costs.norm_inf();
-                    if residual <= 1e-8 * scale {
-                        return Ok(eval);
-                    }
-                }
-            }
-            // A failed or uncertified update falls through to refactorize.
-        }
-    }
-
-    // Full assembly + factorization; re-seat the cache on the new base.
-    let generator = mdp.generator_for(policy)?;
-    let mut a = DMatrix::zeros(n, n);
-    for i in 0..n {
-        a[(i, 0)] = -1.0;
-        for j in 0..n {
-            if let Some(c) = col_of(j) {
-                a[(i, c)] = generator.rate(i, j);
-            }
-        }
-    }
-    let lu = lu_or_not_unichain(a)?;
-    let solution = lu.solve(&b).map_err(MdpError::Numerical)?;
-    *cache = Some(EvalCache {
-        lu,
-        actions: (0..n).map(|i| policy.action(i)).collect(),
-    });
-    let gain = solution[0];
-    let bias = DVector::from_fn(n, |j| match col_of(j) {
-        Some(c) => solution[c],
-        None => 0.0,
-    });
-    Ok(Evaluation { gain, bias })
 }
 
 /// Test quantity `c_i^a + Σ_j s_{i,j}^a v_j` for action `a` in state `i`
@@ -893,7 +744,6 @@ pub fn policy_iteration_from(
     mdp.check_policy(&initial)?;
     let n = mdp.n_states();
     let kernel = mdp.sparse_actions();
-    let mut cache = None;
     let mut policy = initial;
     let mut eval_secs = Vec::new();
     let mut gain_history = Vec::new();
@@ -901,16 +751,10 @@ pub fn policy_iteration_from(
     for iteration in 1..=options.max_iterations {
         // dpm-lint: allow(nondeterminism, reason = "eval_secs is a wall-clock diagnostic in the iteration stats, not part of the solved policy or values")
         let eval_start = std::time::Instant::now();
-        let eval = match options.backend {
-            EvalBackend::CachedLu => {
-                evaluate_cached(mdp, &policy, options.reference_state, &mut cache)
-            }
-            backend => evaluate_with(mdp, &policy, options.reference_state, backend),
-        }
-        .map_err(|e| match e {
-            MdpError::NotUnichain { .. } => MdpError::NotUnichain { iteration },
-            other => other,
-        })?;
+        let eval = match evaluate_with(mdp, &policy, options.reference_state, options.backend) {
+            Err(MdpError::NotUnichain { .. }) => return Err(MdpError::NotUnichain { iteration }),
+            other => other?,
+        };
         eval_secs.push(eval_start.elapsed().as_secs_f64());
         gain_history.push(eval.gain);
         // Improvement step over the contiguous per-action CSR rows.
@@ -1580,7 +1424,6 @@ mod krylov_backend_tests {
             EvalBackend::Dense,
             EvalBackend::SparseIterative,
             EvalBackend::SparseDirect,
-            EvalBackend::CachedLu,
             EvalBackend::Resilient,
             EvalBackend::SparseKrylov {
                 method: Method::BiCgStab,
@@ -1714,7 +1557,7 @@ mod kernel_and_reuse_tests {
     }
 
     /// A larger unichain CTMDP (ring with shortcuts) where every policy is
-    /// irreducible, so the cached-LU path exercises many improvement rounds.
+    /// irreducible, so policy iteration takes many improvement rounds.
     fn ring(n: usize) -> Ctmdp {
         let mut b = Ctmdp::builder(n);
         for i in 0..n {
@@ -1803,83 +1646,6 @@ mod kernel_and_reuse_tests {
             .unwrap();
             assert_eq!(dense.policy(), sparse.policy(), "fast_cost {fast_cost}");
             assert!((dense.gain() - sparse.gain()).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn cached_lu_backend_matches_dense_end_to_end() {
-        for mdp in [
-            repair_mdp(2.0),
-            repair_mdp(9.0),
-            repair_mdp(100.0),
-            ring(14),
-        ] {
-            let dense = policy_iteration(&mdp, &Options::default()).unwrap();
-            let cached = policy_iteration(
-                &mdp,
-                &Options {
-                    backend: EvalBackend::CachedLu,
-                    ..Options::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(dense.policy(), cached.policy());
-            assert!(
-                (dense.gain() - cached.gain()).abs() < 1e-10 * (1.0 + dense.gain().abs()),
-                "{} vs {}",
-                dense.gain(),
-                cached.gain()
-            );
-            let diff = (dense.bias() - cached.bias()).norm_inf();
-            assert!(diff < 1e-8, "bias diff {diff}");
-        }
-    }
-
-    #[test]
-    fn cached_lu_row_update_path_is_exercised() {
-        // Start from "skip everywhere" so improvement rounds walk the
-        // policy back state by state, reusing the cached factorization.
-        let mdp = ring(16);
-        let worst = Policy::uniform(mdp.n_states(), 1);
-        let cached = policy_iteration_from(
-            &mdp,
-            worst.clone(),
-            &Options {
-                backend: EvalBackend::CachedLu,
-                ..Options::default()
-            },
-        )
-        .unwrap();
-        let dense = policy_iteration_from(&mdp, worst, &Options::default()).unwrap();
-        assert_eq!(dense.policy(), cached.policy());
-        assert_eq!(dense.iterations(), cached.iterations());
-        assert!(cached.eval_residual() < 1e-9);
-    }
-
-    #[test]
-    fn cached_lu_standalone_evaluation_equals_dense() {
-        let mdp = repair_mdp(9.0);
-        let policy = Policy::new(vec![0, 1]);
-        let via_backend = evaluate_with(&mdp, &policy, 0, EvalBackend::CachedLu).unwrap();
-        let dense = evaluate(&mdp, &policy, 0).unwrap();
-        assert_eq!(via_backend, dense);
-    }
-
-    #[test]
-    fn cached_evaluation_survives_cache_reseeding() {
-        let mdp = ring(10);
-        let policies: Vec<Policy> = mdp.enumerate_policies().into_iter().take(6).collect();
-        let mut cache = None;
-        for policy in &policies {
-            let cached = evaluate_cached(&mdp, policy, 0, &mut cache).unwrap();
-            let dense = evaluate(&mdp, policy, 0).unwrap();
-            assert!(
-                (cached.gain() - dense.gain()).abs() < 1e-9 * (1.0 + dense.gain().abs()),
-                "{} vs {}",
-                cached.gain(),
-                dense.gain()
-            );
-            assert!((cached.bias() - dense.bias()).norm_inf() < 1e-8);
         }
     }
 }

@@ -278,13 +278,15 @@ impl CompiledPolicy {
     }
 }
 
+fn as_index(value: &Json) -> Option<usize> {
+    value.as_u64().and_then(|v| usize::try_from(v).ok())
+}
+
 fn get_usize(doc: &Json, key: &str) -> Result<usize, ServeError> {
-    match doc.get(key) {
-        Some(&Json::Int(v)) if v >= 0 && v <= usize::MAX as i128 => Ok(v as usize),
-        other => Err(ServeError::Format {
-            reason: format!("{key}: expected a non-negative integer, got {other:?}"),
-        }),
-    }
+    let value = doc.get(key);
+    value.and_then(as_index).ok_or_else(|| ServeError::Format {
+        reason: format!("{key}: expected a non-negative integer, got {value:?}"),
+    })
 }
 
 fn get_strings(doc: &Json, key: &str) -> Result<Vec<String>, ServeError> {
@@ -312,11 +314,10 @@ fn get_indices(doc: &Json, key: &str) -> Result<Vec<usize>, ServeError> {
     };
     items
         .iter()
-        .map(|item| match item {
-            &Json::Int(v) if v >= 0 && v <= usize::MAX as i128 => Ok(v as usize),
-            other => Err(ServeError::Format {
-                reason: format!("{key}: expected a non-negative integer, got {other:?}"),
-            }),
+        .map(|item| {
+            as_index(item).ok_or_else(|| ServeError::Format {
+                reason: format!("{key}: expected a non-negative integer, got {item:?}"),
+            })
         })
         .collect()
 }
@@ -329,10 +330,11 @@ fn get_actions(doc: &Json, key: &str, n_modes: usize) -> Result<Vec<u8>, ServeEr
     };
     items
         .iter()
-        .map(|item| match item {
-            &Json::Int(v) if v >= 0 && (v as usize) < n_modes => Ok(v as u8),
-            other => Err(ServeError::Format {
-                reason: format!("{key}: action out of range for {n_modes} modes: {other:?}"),
+        .map(|item| match as_index(item) {
+            // n_modes <= 256, so every in-range action fits u8.
+            Some(action) if action < n_modes => Ok(action as u8),
+            _ => Err(ServeError::Format {
+                reason: format!("{key}: action out of range for {n_modes} modes: {item:?}"),
             }),
         })
         .collect()
@@ -511,6 +513,12 @@ mod tests {
             Json::Array(vec![Json::Int(200); compiled.capacity()]),
         );
         assert!(CompiledPolicy::from_json(&bad_action).is_err());
+        // 2^64 is out of range, not action 0 after a wrapping cast.
+        let mut wrapping = compiled.to_json();
+        let mut stable = vec![Json::Int(0); compiled.n_modes() * (compiled.capacity() + 1)];
+        stable[0] = Json::Int(1 << 64);
+        wrapping.set("stable_actions", Json::Array(stable));
+        assert!(CompiledPolicy::from_json(&wrapping).is_err());
     }
 
     #[test]

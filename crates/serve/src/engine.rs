@@ -17,10 +17,11 @@
 //!    and queue; stepping runs in any order cannot perturb one another, so
 //!    a shard batching 256 events of system A between batches of system B
 //!    produces exactly the serial event sequences.
-//! 3. **Associative merging.** Reports are stitched in fleet-index order
-//!    and folded through [`dpm_sim::MergedReport`], whose accumulators
-//!    ([`dpm_sim::ExactSum`]) are exactly associative — the per-shard
-//!    partial grouping cannot leak into the totals.
+//! 3. **Ordered folding.** Shards return their systems' records, the
+//!    records are stitched back in fleet-index order, and only then folded
+//!    through [`dpm_sim::MergedReport`] — one `f64` fold in one order,
+//!    whatever the shard count, so the partition cannot leak into the
+//!    totals. No per-shard partial aggregate ever exists.
 //!
 //! The supervision layer preserves all three. Every recovery decision is
 //! a pure function of `(system, event count, attempt)`: panics are caught
@@ -944,6 +945,28 @@ mod tests {
         CompiledPolicy::compile(system, &PmPolicy::greedy(system).unwrap()).unwrap()
     }
 
+    /// `merged()` is exactly the ordered fold of the served records in
+    /// fleet order, compared bit for bit.
+    fn assert_merged_is_fleet_fold(outcome: &ServeOutcome) {
+        let mut fold = MergedReport::new();
+        for report in outcome.records().iter().filter_map(SystemRecord::report) {
+            fold.absorb(report);
+        }
+        let merged = outcome.merged();
+        let floats = |m: &MergedReport| {
+            [
+                m.duration(),
+                m.occupancy_energy(),
+                m.switch_energy(),
+                m.queue_integral(),
+                m.sojourn_sum(),
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(floats(merged), floats(&fold));
+        assert_eq!(merged, &fold);
+    }
+
     #[test]
     fn shard_count_is_bit_invariant() {
         let system = system();
@@ -963,6 +986,7 @@ mod tests {
         assert_eq!(serial.merged().runs(), 12);
         assert_eq!(serial.served(), 12);
         assert!(serial.merged().events() > 0);
+        assert_merged_is_fleet_fold(&serial);
         for shards in [2, 3, 5, 12] {
             let sharded = outcome(shards);
             assert_eq!(
@@ -972,6 +996,7 @@ mod tests {
             );
             assert_eq!(sharded.merged(), serial.merged(), "{shards} shards");
             assert_eq!(sharded.records(), serial.records(), "{shards} shards");
+            assert_merged_is_fleet_fold(&sharded);
             // The canonical artifacts diff clean at tolerance 0 once the
             // volatile provenance (which records the shard count) is out.
             assert_eq!(

@@ -20,15 +20,16 @@
 //!   becomes one range record (the fleet twin of the harness journal's
 //!   `run_start` records), so a long resume chain costs `O(gaps)` writes.
 //!
-//! Loading tolerates exactly one torn *trailing* line — the signature of
-//! a process killed mid-append. Interior corruption, header mismatches
-//! and seed-derivation mismatches are hard errors: silently dropping
-//! entries would break the bit-identical resume guarantee.
+//! The file mechanics are [`dpm_harness::jsonl`]'s, shared with the
+//! harness journal: a torn *trailing* line — the signature of a process
+//! killed mid-append — is dropped. Every other problem (interior
+//! corruption, header mismatches, seed-derivation mismatches, and a
+//! complete final record that fails validation) is a hard error: silently
+//! dropping entries would break the bit-identical resume guarantee.
 
-use std::fs::File;
-use std::io::Write as _;
 use std::path::Path;
 
+use dpm_harness::jsonl::{self, JsonlWriter};
 use dpm_harness::{seed::derive_serve_attempt_seed, Json};
 use dpm_sim::{ReportParts, SimReport};
 
@@ -50,7 +51,7 @@ fn io_err(context: &str, e: &std::io::Error) -> ServeError {
 /// An open fleet journal being written by a supervised run.
 #[derive(Debug)]
 pub(crate) struct FleetJournal {
-    file: File,
+    writer: JsonlWriter,
 }
 
 impl FleetJournal {
@@ -62,29 +63,20 @@ impl FleetJournal {
         systems: usize,
         requests_per_system: u64,
     ) -> Result<FleetJournal, ServeError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| io_err("creating journal directory", &e))?;
-            }
-        }
-        let mut file = File::create(path).map_err(|e| io_err("creating journal", &e))?;
         let mut header = Json::object();
         header.set("format", JOURNAL_FORMAT);
         header.set("root_seed", root_seed);
         header.set("systems", systems);
         header.set("requests_per_system", requests_per_system);
-        writeln!(file, "{}", header.render_compact()).map_err(|e| io_err("writing header", &e))?;
-        file.flush().map_err(|e| io_err("flushing header", &e))?;
-        Ok(FleetJournal { file })
+        let writer =
+            JsonlWriter::create(path, &header).map_err(|e| io_err("creating journal", &e))?;
+        Ok(FleetJournal { writer })
     }
 
     fn line(&mut self, doc: &Json) -> Result<(), ServeError> {
-        writeln!(self.file, "{}", doc.render_compact())
-            .map_err(|e| io_err("appending to journal", &e))?;
-        self.file
-            .flush()
-            .map_err(|e| io_err("flushing journal", &e))
+        self.writer
+            .append(doc)
+            .map_err(|e| io_err("appending to journal", &e))
     }
 
     /// Appends one epoch record and flushes, so the entry survives a kill
@@ -188,12 +180,10 @@ fn report_to_json(report: &SimReport) -> Json {
 }
 
 fn get_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    match doc.get(key) {
-        Some(&Json::Int(v)) if v >= 0 && v <= i128::from(u64::MAX) => Ok(v as u64),
-        other => Err(format!(
-            "{key}: expected a non-negative integer, got {other:?}"
-        )),
-    }
+    let value = doc.get(key);
+    value
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{key}: expected a non-negative integer, got {value:?}"))
 }
 
 fn get_u32(doc: &Json, key: &str) -> Result<u32, String> {
@@ -389,7 +379,7 @@ fn settled_from_json(
 ///
 /// Later records supersede earlier ones for the same system (an append
 /// order the supervisor guarantees), so the last word on each system
-/// wins. Exactly one torn trailing line is tolerated.
+/// wins. Only a torn trailing line (one that is not JSON) is tolerated.
 pub(crate) fn load_fleet(
     path: &Path,
     root_seed: u64,
@@ -398,12 +388,7 @@ pub(crate) fn load_fleet(
 ) -> Result<Vec<Restored>, ServeError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| io_err(&format!("reading {}", path.display()), &e))?;
-    let mut lines = text.lines();
-    let Some(header_line) = lines.next() else {
-        return Err(checkpoint_err("journal is empty (no header line)"));
-    };
-    let header = Json::parse(header_line)
-        .map_err(|e| checkpoint_err(format!("unreadable header line: {e}")))?;
+    let (header, records) = jsonl::parse(&text).map_err(checkpoint_err)?;
     let format = header.get("format").and_then(Json::as_str).unwrap_or("");
     if format != JOURNAL_FORMAT {
         return Err(checkpoint_err(format!(
@@ -423,29 +408,14 @@ pub(crate) fn load_fleet(
     check("systems", systems as u64)?;
     check("requests_per_system", requests_per_system)?;
 
-    let records: Vec<&str> = lines.collect();
     let mut restored = vec![Restored::Fresh; systems];
-    for (index, line) in records.iter().enumerate() {
-        let last = index + 1 == records.len();
-        let parsed = Json::parse(line)
-            .map_err(|e| e.to_string())
-            .and_then(|doc| interpret_line(&doc, root_seed, systems));
-        match parsed {
-            Ok(updates) => {
-                for (system, state) in updates {
-                    if let Some(slot) = restored.get_mut(system) {
-                        *slot = state;
-                    }
-                }
-            }
-            // A torn final line is the signature of a kill mid-append:
-            // the entry simply was not durable yet, so the system reruns.
-            Err(_) if last => break,
-            Err(reason) => {
-                return Err(checkpoint_err(format!(
-                    "corrupt interior record on line {}: {reason}",
-                    index + 2
-                )));
+    for record in records {
+        let (line, doc) = record.map_err(checkpoint_err)?;
+        let updates = interpret_line(&doc, root_seed, systems)
+            .map_err(|reason| checkpoint_err(format!("invalid record on line {line}: {reason}")))?;
+        for (system, state) in updates {
+            if let Some(slot) = restored.get_mut(system) {
+                *slot = state;
             }
         }
     }
@@ -617,6 +587,16 @@ mod tests {
             load_fleet(&path, 11, 2, 10),
             Err(ServeError::Checkpoint { .. })
         ));
+        // So does a tampered final line: it parses, so it is not a torn
+        // append to drop.
+        let mut journal = FleetJournal::create(&path, 11, 2, 10).unwrap();
+        journal
+            .epoch(0, 64, 1, 0, derive_serve_seed(11, 0))
+            .unwrap();
+        journal.epoch(1, 64, 1, 0, 0xdead_beef).unwrap();
+        drop(journal);
+        let err = load_fleet(&path, 11, 2, 10).unwrap_err();
+        assert!(err.to_string().contains("seed"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -49,6 +49,9 @@ fi
 echo "=== cargo test ==="
 cargo test --workspace -q
 
+echo "=== perfbench smoke (the repo benchmark still builds against the library API) ==="
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "=== harness smoke run (tiny plan, 2 workers, determinism gate) ==="
 cargo build --release -q -p dpm-bench --bin heuristics -p dpm-harness --bin artifact_diff
 ./target/release/heuristics --workers 1 --requests 500 --seed 7 \
