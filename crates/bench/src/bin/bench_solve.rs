@@ -23,10 +23,8 @@
 //! 4. **Stationary solver tiers**: sparse direct (`SparseLu`) versus the
 //!    preconditioned Krylov methods (BiCGSTAB / GMRES + ILU(0)) on
 //!    synthetic sparse birth–death chains up to `--tier-states` (default
-//!    100 000) states, recording the direct↔Krylov crossover. The direct
-//!    solve is skipped beyond `--tier-direct-limit` (default 10 000),
-//!    where the dense normalization row makes its elimination
-//!    superlinear. All tiers must agree pairwise to ≤ 1e-8.
+//!    100 000) states, recording the direct↔Krylov crossover. All tiers
+//!    must agree pairwise to ≤ 1e-8.
 //!
 //! Deterministic fields (`params`, `checks`) are canonical; wall-clock
 //! numbers live under the `timers` key, which the artifact diff strips.
@@ -37,7 +35,7 @@
 //! cargo run --release -p dpm-bench --bin bench_solve -- \
 //!     [--capacity Q] [--rounds R] [--solve-workers N] \
 //!     [--method NAME] [--tol T] [--precond NAME] [--restart M] \
-//!     [--tier-states N] [--tier-direct-limit N] [--seed S] \
+//!     [--tier-states N] [--seed S] \
 //!     [--out results/BENCH_solve.json]
 //! ```
 
@@ -181,7 +179,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "precond",
         "restart",
         "tier-states",
-        "tier-direct-limit",
         "seed",
         "out",
     ]))?;
@@ -319,10 +316,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Stationary solver tiers: sparse direct vs preconditioned Krylov.
     // ------------------------------------------------------------------
     let tier_states = args.get_usize("tier-states", 100_000)?;
-    // The normalization row is dense, so sparse LU elimination goes
-    // superlinear on these chains; beyond this size only the Krylov
-    // tiers run (the crossover is long decided by then anyway).
-    let tier_direct_limit = args.get_usize("tier-direct-limit", 10_000)?;
     let tier_sizes: Vec<usize> = [1_000usize, 10_000, 100_000]
         .into_iter()
         .filter(|&s| s <= tier_states.max(1_000))
@@ -342,9 +335,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let chain = birth_death_sparse(size)?;
         let mut reference = None;
         for method in [Method::Lu, Method::BiCgStab, Method::Gmres] {
-            if method == Method::Lu && size > tier_direct_limit {
-                continue;
-            }
             let (solved, secs) = timed(|| {
                 stationary::Solver::new(method)
                     .tolerance(solver_config.tolerance)
@@ -469,7 +459,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     params.set("sweep_points", n_sweep);
     params.set("root_seed", root_seed);
     params.set("tier_states", tier_states);
-    params.set("tier_direct_limit", tier_direct_limit);
     params.set("method", cli_backend_name);
     params.set("precond", solver_config.precond.name());
     params.set("tol", Json::num(solver_config.tolerance));

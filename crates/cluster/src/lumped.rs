@@ -192,8 +192,10 @@ impl LumpedSolution {
 }
 
 /// Builds and solves the occupancy-space chain through the stock
-/// [`Solver`] builder (Krylov first with the full fallback ladder; the
-/// irreducibility guard reroutes reducible fleets to Gauss–Seidel).
+/// [`Solver`] builder (Krylov first with the full fallback ladder). On a
+/// reducible fleet the irreducibility guard drops the Krylov tier, so the
+/// solve starts at the sparse direct factorization, with Gauss–Seidel
+/// after it.
 ///
 /// # Errors
 ///

@@ -21,8 +21,8 @@
 //!
 //! The optimal cluster policy is evaluated exactly: its induced chain
 //! goes through the stock stationary [`Solver`] ladder (where the
-//! irreducibility guard reroutes sleepy, reducible policies away from the
-//! Krylov tier automatically).
+//! irreducibility guard drops the Krylov tier for sleepy, reducible
+//! policies, so they start at the sparse direct solve).
 
 use dpm_ctmc::stationary::{Method, SolveStats, Solver};
 use dpm_harness::{run_solve_plan, PlanPoint, SolvePlan};
@@ -275,8 +275,8 @@ where
     let policy = solution.policy().clone();
 
     // Exact evaluation of the induced chain through the stock solver
-    // ladder (the irreducibility guard reroutes reducible sleep policies
-    // past the Krylov tier).
+    // ladder (the irreducibility guard skips the Krylov tier on reducible
+    // sleep policies, which then start at the sparse direct solve).
     let generator = mdp.sparse_generator_for(&policy)?;
     let (pi, stats) = Solver::new(Method::BiCgStab)
         .with_default_fallback()

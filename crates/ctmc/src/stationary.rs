@@ -46,8 +46,7 @@
 //! With [`Solver::with_default_fallback`] the solve escalates through
 //! [`FALLBACK_CHAIN`] (dense) or [`SPARSE_FALLBACK_CHAIN`] (sparse) until
 //! a backend produces a distribution passing the residual guard — a
-//! stalled Krylov solve degrades to the sparse direct and GTH tiers
-//! automatically.
+//! stalled Krylov solve degrades to the sparse direct tier automatically.
 
 use dpm_linalg::krylov::{self, Ilu0, KrylovOptions};
 use dpm_linalg::{CsrMatrix, DVector, SparseLu};
@@ -296,12 +295,13 @@ pub const FALLBACK_CHAIN: [Method; 3] = [Method::Lu, Method::Gth, Method::Power]
 /// Ordered backend chain armed by [`Solver::with_default_fallback`] on
 /// sparse input. ILU(0)-preconditioned BiCGSTAB leads — it is the only
 /// `O(nnz)`-per-iteration tier that also converges fast on stiff chains —
-/// and a stalled Krylov solve degrades to the sparse direct solves, then
-/// Gauss–Seidel, then power iteration.
-pub const SPARSE_FALLBACK_CHAIN: [Method; 5] = [
+/// and a stalled Krylov solve degrades to the sparse direct solve, then
+/// Gauss–Seidel, then power iteration. GTH has no slot: on sparse input
+/// it is the same sparse direct solve as [`Method::Lu`], so after `Lu`
+/// fails it could only repeat the identical factorization.
+pub const SPARSE_FALLBACK_CHAIN: [Method; 4] = [
     Method::BiCgStab,
     Method::Lu,
-    Method::Gth,
     Method::Iterative,
     Method::Power,
 ];
@@ -551,8 +551,11 @@ fn distribution_flaw(pi: &DVector, residual: f64, scale: f64) -> Option<String> 
 /// diverge outright (the measured gap from the Krylov tier's bench). When
 /// an unchecked solve is about to dispatch a Krylov method, run the
 /// Tarjan SCC pass up front; on a reducible generator every Krylov entry
-/// is dropped from the chain (each recorded as an escalation) and
-/// Gauss–Seidel is guaranteed a slot as the substitute workhorse.
+/// is dropped from the chain (each recorded as an escalation) and the
+/// rest of the chain runs in its own order — with the default sparse chain
+/// that is the sparse direct solve first, then Gauss–Seidel. A chain left
+/// without Gauss–Seidel gets it appended, so a bare Krylov request still
+/// has a backend.
 ///
 /// `already_checked` short-circuits the pass when
 /// [`Solver::check_irreducible`] has established irreducibility (or
@@ -580,7 +583,7 @@ fn guard_krylov(
                 method,
                 format!(
                     "generator is reducible ({classes} communicating classes); \
-                     krylov dispatch skipped, gauss-seidel substituted"
+                     krylov dispatch skipped"
                 ),
             ));
         } else {

@@ -8,8 +8,9 @@
 //!   matrices over `f64`;
 //! * [`Lu`] — LU decomposition with partial pivoting, giving linear solves,
 //!   determinants and inverses;
-//! * [`SparseLu`] — sparse direct LU over CSR rows, for stiff
-//!   generator-shaped systems where iterative sweeps are impractical;
+//! * [`SparseLu`] — sparse direct LU over CSR rows with its own
+//!   fill-reducing ordering, for stiff generator-shaped systems where
+//!   iterative sweeps are impractical;
 //! * [`kron`] / [`kron_sum`] — the Kronecker (tensor) product and sum used by
 //!   the paper's compositional generator construction (Definition 4.4), with
 //!   sparse CSR twins [`kron_sparse`] / [`kron_sum_sparse`];

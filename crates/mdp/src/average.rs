@@ -443,12 +443,13 @@ pub fn evaluate_resilient(
 /// Solves the evaluation equations by sparse direct LU over the policy's
 /// CSR generator ([`EvalBackend::SparseDirect`]).
 ///
-/// Unknown ordering puts the bias components first and the gain *last*:
-/// the gain column is the only dense column of the system, and eliminating
-/// it last keeps the factorization's fill-in `O(nnz)`. Because the solve is
-/// direct, stiff rate spectra (instant-event surrogate rates) cost nothing
-/// beyond their entries — the caveat that forces
-/// [`EvalBackend::SparseIterative`] onto re-posed models does not apply.
+/// Unknowns are the bias components (reference state dropped) and the
+/// gain. The gain column is the system's one dense column; the
+/// factorization's own fill-reducing ordering recognizes it and
+/// eliminates it last. Because the solve is direct, stiff rate spectra
+/// (instant-event surrogate rates) cost nothing beyond their entries —
+/// the caveat that forces [`EvalBackend::SparseIterative`] onto re-posed
+/// models does not apply.
 ///
 /// # Errors
 ///

@@ -114,6 +114,14 @@ cargo build --release -q -p dpm-bench --bin bench_cluster
 grep -q '"matrix_free_matches_materialized": true' "$SMOKE_DIR/bench_cluster.json"
 grep -q '"lumping_refines_to_joint": true' "$SMOKE_DIR/bench_cluster.json"
 
+echo "=== sparse direct smoke (SparseLu == BiCGSTAB == GMRES at 10^4 states) ==="
+cargo build --release -q -p dpm-bench --bin bench_solve
+# The sparse LU tier runs at every tier size, so this gates the
+# factorization against both Krylov tiers on a 10^4-state chain.
+./target/release/bench_solve --tier-states 10000 \
+    --out "$SMOKE_DIR/bench_solve.json" > /dev/null
+grep -q '"stationary_tiers_agree": true' "$SMOKE_DIR/bench_solve.json"
+
 echo "=== criterion micro-bench smoke (kernels must stay compiling) ==="
 cargo bench --workspace --no-run -q
 
