@@ -25,6 +25,12 @@
 //!    synthetic sparse birth–death chains up to `--tier-states` (default
 //!    100 000) states, recording the direct↔Krylov crossover. All tiers
 //!    must agree pairwise to ≤ 1e-8.
+//! 5. **Multichain policy iteration** at Q = `--capacity` from the
+//!    min-cost ("stay everywhere") start: the median of `--rounds`
+//!    repeats, the `SparseLu` factor entries of the final policy's
+//!    evaluation matrix, and its evaluation residual `‖c − g + G v‖∞`
+//!    as a normwise backward error, which must stay ≤ 1e-8 (the rule
+//!    the repo benchmark's `frontier` workload gates on).
 //!
 //! Deterministic fields (`params`, `checks`) are canonical; wall-clock
 //! numbers live under the `timers` key, which the artifact diff strips.
@@ -357,6 +363,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // ------------------------------------------------------------------
+    // 5. Multichain policy iteration at Q = capacity.
+    // ------------------------------------------------------------------
+    let mut multichain_runs = Vec::with_capacity(rounds);
+    for _ in 0..rounds {
+        let (run, secs) = timed(|| {
+            average::policy_iteration_multichain(
+                &mdp,
+                mdp.min_cost_policy(),
+                &average::Options::default(),
+            )
+        });
+        run?;
+        multichain_runs.push(secs);
+    }
+    multichain_runs.sort_by(f64::total_cmp);
+    let multichain_secs = multichain_runs[rounds / 2];
+    let final_generator = mdp.sparse_generator_for(&policy)?;
+    let multichain_factor_nnz = stationary::ChainGains::new(&final_generator)?.factor_nnz();
+    // Normwise backward error: the residual over the scale of the
+    // equations, ‖G‖∞ ‖v‖∞ + ‖c‖∞ + ‖g‖∞ (a generator row's absolute sum
+    // is twice its exit rate).
+    let g_norm = (0..n)
+        .map(|i| 2.0 * final_generator.exit_rate(i))
+        .fold(0.0, f64::max);
+    let equations_scale = g_norm * bias.norm_inf()
+        + mdp.cost_rates_for(&policy)?.norm_inf()
+        + solved.gains().norm_inf();
+    let multichain_backward_error = solved.eval_residual() / equations_scale;
+    let multichain_backward_error_ok = multichain_backward_error <= 1e-8;
+
+    // ------------------------------------------------------------------
     // Report + artifact.
     // ------------------------------------------------------------------
     let widths = [26usize, 14, 14];
@@ -440,12 +477,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
+        "\nMultichain policy iteration (Q = {capacity}): {} rounds, median {multichain_secs:.3e} s \
+         over {rounds} repeats, factor entries {multichain_factor_nnz}, backward error \
+         {multichain_backward_error:.2e}",
+        solved.iterations()
+    );
+    println!(
         "\nchecks: improvement kernels agree = {improvement_agrees}, fixpoint = \
          {improvement_fixpoint},\n        eval backends agree = {backends_agree} \
          (max gain diff {max_gain_diff:.2e}), pipeline identical = {pipeline_identical},\n        \
          --method {cli_backend_name} agrees = {cli_backend_agrees} \
          (gain diff {cli_gain_diff:.2e}),\n        \
-         solver tiers agree = {tiers_agree} (max diff {tier_max_diff:.2e})"
+         solver tiers agree = {tiers_agree} (max diff {tier_max_diff:.2e}),\n        \
+         multichain backward error ok = {multichain_backward_error_ok}"
     );
 
     let mut doc = Json::object();
@@ -474,6 +518,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     checks.set("solve_parallel_identical", pipeline_identical);
     checks.set("stationary_tiers_agree", tiers_agree);
     checks.set("stationary_tiers_max_diff", Json::num(tier_max_diff));
+    checks.set("multichain_iterations", solved.iterations());
+    checks.set("multichain_factor_nnz", multichain_factor_nnz);
+    checks.set(
+        "multichain_backward_error",
+        Json::num(multichain_backward_error),
+    );
+    checks.set("multichain_backward_error_ok", multichain_backward_error_ok);
     doc.set("checks", checks);
     let mut timers = Json::object();
     timers.set("improve_dense_scan_secs", Json::num(dense_secs));
@@ -490,6 +541,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     timers.set("pipeline_serial_secs", Json::num(serial_secs));
     timers.set("pipeline_parallel_secs", Json::num(parallel_secs));
     timers.set("solve_workers", solve_workers);
+    timers.set("multichain_pi_median_secs", Json::num(multichain_secs));
     for (size, name, secs, sweeps, _) in &tier_rows {
         timers.set(&format!("tier_{name}_secs_n{size}"), Json::num(*secs));
         timers.set(&format!("tier_{name}_sweeps_n{size}"), *sweeps);
@@ -509,7 +561,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         && backends_agree
         && cli_backend_agrees
         && pipeline_identical
-        && tiers_agree)
+        && tiers_agree
+        && multichain_backward_error_ok)
     {
         artifact::write(&out, &doc)?;
         return Err("solve-phase correctness checks failed (see artifact)".into());

@@ -158,11 +158,15 @@ impl PmSystem {
             .map_err(DpmError::Chain)
     }
 
-    /// Computes the long-run metrics of `policy` analytically.
+    /// Computes the long-run metrics of `policy` analytically, as seen
+    /// from [`PmSystem::initial_state_index`] (an empty queue, the provider
+    /// in its fastest active mode).
     ///
-    /// Works for any policy whose induced chain is unichain (one recurrent
-    /// class; transient states allowed), which covers every policy
-    /// expressible in this model.
+    /// No unichain assumption is made: each metric is the per-class gain
+    /// of the induced chain read at the start state — the stationary
+    /// average of the closed class holding it, or, from a transient
+    /// state, the absorption-weighted mix of the reachable closed classes'
+    /// averages. See [`PmSystem::evaluate_from`] for another start state.
     ///
     /// # Errors
     ///
@@ -212,9 +216,24 @@ impl PmSystem {
                 reason: format!("start index {start} out of range"),
             });
         }
-        let generator = self.generator_for(policy)?;
-        let mdp_policy = policy.to_mdp_policy(self)?;
+        // One factorization of the policy's chain serves all four metrics.
+        let chain = stationary::ChainGains::new(&self.sparse_generator_for(policy)?)?;
+        let [power, queue_length, loss_rate, switch_frequency] = self
+            .metric_costs(policy)?
+            .map(|costs| chain.gains(&costs).map(|g| g[start]));
+        Ok(PolicyMetrics {
+            power: power?,
+            queue_length: queue_length?,
+            loss_rate: loss_rate?,
+            switch_frequency: switch_frequency?,
+            lambda: self.requestor().rate(),
+        })
+    }
 
+    /// Per-state cost rates of the four metrics under `policy`: power,
+    /// queue length, loss rate and switching frequency.
+    fn metric_costs(&self, policy: &PmPolicy) -> Result<[DVector; 4], DpmError> {
+        let mdp_policy = policy.to_mdp_policy(self)?;
         let power_costs = DVector::from_fn(self.n_states(), |i| {
             self.power_cost(i, mdp_policy.action(i))
         });
@@ -231,19 +250,7 @@ impl PmSystem {
                 self.provider().switch_rate(mode, dest)
             }
         });
-
-        let power = stationary::gain_vector(&generator, &power_costs)?[start];
-        let queue_length = stationary::gain_vector(&generator, &delay_costs)?[start];
-        let loss_rate = stationary::gain_vector(&generator, &loss_costs)?[start];
-        let switch_frequency = stationary::gain_vector(&generator, &switch_costs)?[start];
-
-        Ok(PolicyMetrics {
-            power,
-            queue_length,
-            loss_rate,
-            switch_frequency,
-            lambda: self.requestor().rate(),
-        })
+        Ok([power_costs, delay_costs, loss_costs, switch_costs])
     }
 }
 
@@ -348,6 +355,64 @@ mod tests {
             .evaluate(&PmPolicy::n_policy(&sys, 5, 2).unwrap())
             .unwrap();
         assert!(n5.power() < n1.power(), "waking later saves power");
+    }
+
+    #[test]
+    fn evaluate_matches_four_independent_single_cost_evaluations() {
+        let sys = paper_system();
+        // "Stay put" wherever allowed: the chain has transient states, and
+        // every start state is checked.
+        let stay = (0..sys.n_states())
+            .map(|i| {
+                let mode = sys.state(i).mode();
+                let valid = sys.action_destinations(i);
+                if valid.contains(&mode) {
+                    mode
+                } else {
+                    valid[0]
+                }
+            })
+            .collect();
+        let policies = [
+            PmPolicy::greedy(&sys).unwrap(),
+            PmPolicy::n_policy(&sys, 3, 2).unwrap(),
+            PmPolicy::new(&sys, stay).unwrap(),
+        ];
+        for policy in &policies {
+            let generator = sys.sparse_generator_for(policy).unwrap();
+            assert_eq!(
+                stationary::ChainGains::new(&generator)
+                    .unwrap()
+                    .fallback_classes(),
+                0
+            );
+            let costs = sys.metric_costs(policy).unwrap();
+            for start in 0..sys.n_states() {
+                let m = sys.evaluate_from(policy, start).unwrap();
+                let independent: Vec<f64> = costs
+                    .iter()
+                    .map(|c| {
+                        let generator = sys.sparse_generator_for(policy).unwrap();
+                        stationary::ChainGains::new(&generator)
+                            .unwrap()
+                            .gains(c)
+                            .unwrap()[start]
+                    })
+                    .collect();
+                let together = [
+                    m.power(),
+                    m.queue_length(),
+                    m.loss_rate(),
+                    m.switch_frequency(),
+                ];
+                assert_eq!(together.as_slice(), independent.as_slice(), "start {start}");
+            }
+        }
+        assert_eq!(
+            sys.evaluate(&policies[2]).unwrap(),
+            sys.evaluate_from(&policies[2], sys.initial_state_index())
+                .unwrap()
+        );
     }
 
     #[test]

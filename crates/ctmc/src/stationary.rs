@@ -1057,12 +1057,12 @@ pub fn unichain_average(generator: &Generator, costs: &DVector) -> Result<f64, C
 }
 
 /// Per-state long-run average cost (the *gain vector*) for an arbitrary —
-/// possibly multichain — finite chain.
+/// possibly multichain — finite chain: [`ChainGains`] over the sparse form
+/// of `generator`.
 ///
 /// For a state in a closed (recurrent) communicating class the gain is the
 /// class's stationary average of `costs`; for a transient state it is the
-/// absorption-probability-weighted mixture of the reachable classes' gains,
-/// obtained by solving `G_TT g_T = −G_TR g_R`.
+/// absorption-probability-weighted mixture of the reachable classes' gains.
 ///
 /// # Errors
 ///
@@ -1089,88 +1089,319 @@ pub fn unichain_average(generator: &Generator, costs: &DVector) -> Result<f64, C
 /// # }
 /// ```
 pub fn gain_vector(generator: &Generator, costs: &DVector) -> Result<DVector, CtmcError> {
-    let n = generator.n_states();
-    if costs.len() != n {
-        return Err(CtmcError::InvalidParameter {
-            reason: format!("cost vector length {} != {n}", costs.len()),
-        });
-    }
-    let classes = graph::communicating_classes(generator);
-    // A class is closed iff no transition leaves it.
-    let mut closed = vec![true; classes.len()];
-    for (from, to, _) in generator.transitions() {
-        if classes.class_of(from) != classes.class_of(to) {
-            closed[classes.class_of(from)] = false;
-        }
-    }
+    ChainGains::new(&SparseGenerator::from_generator(generator))?.gains(costs)
+}
 
-    let mut gains = DVector::zeros(n);
-    let mut is_recurrent = vec![false; n];
-    for (c, &is_closed) in closed.iter().enumerate() {
-        if !is_closed {
-            continue;
+/// The gain and bias equations of one (possibly multichain) chain, factored
+/// once and solved for any number of cost vectors.
+///
+/// Construction finds the communicating classes, pins the first member of
+/// each closed class, and factors — once, with [`SparseLu`] — the matrix
+/// `A = G` restricted to the unpinned states. `A` is nonsingular: up to a
+/// permutation it is block lower triangular, one block per closed class
+/// with its pinned state removed and one block for the transient states.
+/// The same factor then yields
+///
+/// * each closed class's stationary distribution, from the transposed
+///   solve `Aᵀ x = −G_{pinned,·}ᵀ` with `π_pin = 1`, normalized per class
+///   (the transient entries of `x` come out zero);
+/// * the transient gains, from `A g = −G_{·,pinned} g_pinned`;
+/// * the bias, from `A v = g − c` with `v = 0` at every pinned state.
+///
+/// A class distribution that fails the [`Solver`] fallback guard (finite,
+/// non-negative after clamping round-off, mass 1, scaled residual within
+/// bound) is recomputed by `Solver::new(Method::Lu).with_default_fallback()`
+/// on that class alone. Every cost vector after construction costs `O(nnz)`
+/// triangular solves and no new factorization.
+///
+/// # Examples
+///
+/// ```
+/// use dpm_ctmc::{stationary::ChainGains, SparseGenerator};
+/// use dpm_linalg::DVector;
+///
+/// # fn main() -> Result<(), dpm_ctmc::CtmcError> {
+/// // {0, 1} is a closed class; 2 is transient and drains into it.
+/// let g = SparseGenerator::from_transitions(3, &[(0, 1, 1.0), (1, 0, 3.0), (2, 0, 5.0)])?;
+/// let chain = ChainGains::new(&g)?;
+/// let costs = DVector::from_vec(vec![4.0, 0.0, 9.0]);
+/// let gains = chain.gains(&costs)?;
+/// assert!((gains[2] - 3.0).abs() < 1e-12); // π = (3/4, 1/4)
+/// let bias = chain.bias(&gains, &costs)?;
+/// assert_eq!(bias[0], 0.0); // the pinned state
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct ChainGains {
+    /// Where each state sits in the equations.
+    slot: Vec<Slot>,
+    /// `closed_class[i]`: index of the closed class holding state `i`,
+    /// `None` for a transient state.
+    closed_class: Vec<Option<usize>>,
+    /// Stationary probability of each recurrent state within its class;
+    /// zero on transient states.
+    weight: Vec<f64>,
+    n_closed: usize,
+    /// `(row, class, rate)`: the rate from the unknown in `row` into the
+    /// pinned state of closed class `class`.
+    coupling: Vec<(usize, usize, f64)>,
+    /// Factor of `A`; `None` when every state is pinned.
+    lu: Option<SparseLu>,
+    has_transient: bool,
+    /// Closed classes whose distribution failed the guard and was
+    /// re-solved by the fallback chain.
+    fallback_classes: usize,
+}
+
+/// A state's place in the evaluation equations.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// The `k`-th unknown of `A`.
+    Unknown(usize),
+    /// The pinned first state of closed class `c`.
+    Pinned(usize),
+}
+
+impl ChainGains {
+    /// Decomposes `generator` into classes and factors its evaluation
+    /// matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CtmcError::Numerical`] if `A` is numerically singular, and
+    /// propagates the class fallback solve's failure.
+    pub fn new(generator: &SparseGenerator) -> Result<ChainGains, CtmcError> {
+        let n = generator.n_states();
+        let csr = generator.csr();
+        let classes = graph::communicating_classes_sparse(generator);
+        // A class is closed iff no transition leaves it.
+        let mut closed = vec![true; classes.len()];
+        for (from, to, _) in generator.transitions() {
+            if classes.class_of(from) != classes.class_of(to) {
+                closed[classes.class_of(from)] = false;
+            }
         }
-        let members = classes.members(c);
-        let gain = if members.len() == 1 {
-            costs[members[0]]
+        let closed_members: Vec<&[usize]> = (0..classes.len())
+            .filter(|&c| closed[c])
+            .map(|c| classes.members(c))
+            .collect();
+        let mut closed_class = vec![None; n];
+        let mut slot = vec![Slot::Unknown(0); n];
+        for (c, members) in closed_members.iter().enumerate() {
+            for &i in *members {
+                closed_class[i] = Some(c);
+            }
+            slot[members[0]] = Slot::Pinned(c);
+        }
+        let mut m = 0;
+        for s in &mut slot {
+            if let Slot::Unknown(k) = s {
+                *k = m;
+                m += 1;
+            }
+        }
+
+        let mut triplets = Vec::with_capacity(csr.nnz());
+        let mut coupling = Vec::new();
+        for i in 0..n {
+            let Slot::Unknown(row) = slot[i] else {
+                continue;
+            };
+            for (j, v) in csr.row(i) {
+                match slot[j] {
+                    Slot::Unknown(col) => triplets.push((row, col, v)),
+                    Slot::Pinned(c) => coupling.push((row, c, v)),
+                }
+            }
+        }
+        let lu = if m == 0 {
+            None
         } else {
-            // Restrict the generator to the closed class (self-contained by
-            // closedness) and solve its stationary distribution.
-            let mut b = Generator::builder(members.len());
-            for (local_from, &from) in members.iter().enumerate() {
-                for (local_to, &to) in members.iter().enumerate() {
-                    if from != to {
-                        let r = generator.rate(from, to);
-                        if r > 0.0 {
-                            b.add_rate(local_from, local_to, r);
-                        }
+            let a = CsrMatrix::from_triplets(m, m, &triplets).map_err(CtmcError::Numerical)?;
+            Some(SparseLu::new(&a).map_err(CtmcError::Numerical)?)
+        };
+
+        // Every class's unnormalized π from one transposed solve: column j
+        // of π G = 0 with π_pin = 1 moves the pinned row to the right.
+        let mut weight = vec![0.0; n];
+        if let Some(lu) = &lu {
+            let mut rhs = DVector::zeros(m);
+            for members in &closed_members {
+                for (j, v) in csr.row(members[0]) {
+                    if let Slot::Unknown(col) = slot[j] {
+                        rhs[col] -= v;
                     }
                 }
             }
-            let sub = b.build()?;
-            // Closed-class sub-generators inherit whatever conditioning the
-            // policy induced; escalate through the fallback chain rather
-            // than letting one ill-conditioned class abort the evaluation.
-            let (pi, _) = Solver::new(FALLBACK_CHAIN[0])
-                .with_default_fallback()
-                .solve(&sub)?;
-            members
-                .iter()
-                .enumerate()
-                .map(|(local, &global)| pi[local] * costs[global])
-                .sum()
-        };
-        for &state in members {
-            gains[state] = gain;
-            is_recurrent[state] = true;
-        }
-    }
-
-    // Transient states: G_TT g_T = -G_TR g_R.
-    let transient: Vec<usize> = (0..n).filter(|&i| !is_recurrent[i]).collect();
-    if !transient.is_empty() {
-        let t = transient.len();
-        let mut a = dpm_linalg::DMatrix::zeros(t, t);
-        let mut b = DVector::zeros(t);
-        for (row, &i) in transient.iter().enumerate() {
-            for (col, &j) in transient.iter().enumerate() {
-                a[(row, col)] = generator.rate(i, j);
-            }
-            let mut rhs = 0.0;
-            for j in 0..n {
-                if is_recurrent[j] && j != i {
-                    rhs -= generator.rate(i, j) * gains[j];
+            let x = lu.solve_transposed(&rhs).map_err(CtmcError::Numerical)?;
+            for (i, w) in weight.iter_mut().enumerate() {
+                if let (Some(_), Slot::Unknown(k)) = (closed_class[i], slot[i]) {
+                    *w = x[k];
                 }
             }
-            b[row] = rhs;
         }
-        let g_t = a.lu().map_err(CtmcError::Numerical)?.solve(&b)?;
-        for (row, &i) in transient.iter().enumerate() {
-            gains[i] = g_t[row];
+        let mut fallback_classes = 0;
+        for members in &closed_members {
+            weight[members[0]] = 1.0;
+            if members.len() > 1 {
+                let (pi, fell_back) = class_distribution(generator, members, &weight)?;
+                fallback_classes += usize::from(fell_back);
+                for (&i, p) in members.iter().zip(pi.iter()) {
+                    weight[i] = p;
+                }
+            }
         }
+
+        Ok(ChainGains {
+            has_transient: closed_class.iter().any(Option::is_none),
+            slot,
+            closed_class,
+            weight,
+            n_closed: closed_members.len(),
+            coupling,
+            lu,
+            fallback_classes,
+        })
     }
 
-    Ok(gains)
+    /// Number of states of the chain.
+    #[must_use]
+    pub fn n_states(&self) -> usize {
+        self.slot.len()
+    }
+
+    /// Stored entries of the sparse factor of `A` (zero when every state
+    /// is pinned).
+    #[must_use]
+    pub fn factor_nnz(&self) -> usize {
+        self.lu.as_ref().map_or(0, SparseLu::factor_nnz)
+    }
+
+    /// Closed classes whose distribution from the shared factor failed
+    /// the guard and was re-solved on its own through the fallback chain.
+    #[must_use]
+    pub fn fallback_classes(&self) -> usize {
+        self.fallback_classes
+    }
+
+    /// Per-state long-run average of `costs`: constant within each closed
+    /// class, absorption-weighted on transient states.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CtmcError::InvalidParameter`] on a length mismatch.
+    pub fn gains(&self, costs: &DVector) -> Result<DVector, CtmcError> {
+        self.check_len("cost", costs)?;
+        let mut class_gain = vec![0.0; self.n_closed];
+        for (i, class) in self.closed_class.iter().enumerate() {
+            if let Some(c) = *class {
+                class_gain[c] += self.weight[i] * costs[i];
+            }
+        }
+        let mut gains = DVector::from_fn(self.n_states(), |i| {
+            self.closed_class[i].map_or(0.0, |c| class_gain[c])
+        });
+        if let (true, Some(lu)) = (self.has_transient, &self.lu) {
+            let mut rhs = DVector::zeros(lu.dim());
+            for &(row, c, rate) in &self.coupling {
+                rhs[row] -= rate * class_gain[c];
+            }
+            let x = lu.solve(&rhs).map_err(CtmcError::Numerical)?;
+            for (i, s) in self.slot.iter().enumerate() {
+                if let (None, Slot::Unknown(k)) = (self.closed_class[i], s) {
+                    gains[i] = x[*k];
+                }
+            }
+        }
+        Ok(gains)
+    }
+
+    /// Bias (relative value) vector for `costs` and their `gains`: the
+    /// solution of `c − g + G v = 0` with `v = 0` at the first state of
+    /// each closed class, whose redundant equation is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CtmcError::InvalidParameter`] on a length mismatch.
+    pub fn bias(&self, gains: &DVector, costs: &DVector) -> Result<DVector, CtmcError> {
+        self.check_len("cost", costs)?;
+        self.check_len("gain", gains)?;
+        let mut bias = DVector::zeros(self.n_states());
+        if let Some(lu) = &self.lu {
+            let mut rhs = DVector::zeros(lu.dim());
+            for (i, s) in self.slot.iter().enumerate() {
+                if let Slot::Unknown(k) = *s {
+                    rhs[k] = gains[i] - costs[i];
+                }
+            }
+            let v = lu.solve(&rhs).map_err(CtmcError::Numerical)?;
+            for (i, s) in self.slot.iter().enumerate() {
+                if let Slot::Unknown(k) = *s {
+                    bias[i] = v[k];
+                }
+            }
+        }
+        Ok(bias)
+    }
+
+    fn check_len(&self, what: &str, v: &DVector) -> Result<(), CtmcError> {
+        let n = self.n_states();
+        if v.len() == n {
+            Ok(())
+        } else {
+            Err(CtmcError::InvalidParameter {
+                reason: format!("{what} vector length {} != {n}", v.len()),
+            })
+        }
+    }
+}
+
+/// The stationary distribution of the closed class `members` (ascending)
+/// from its unnormalized `weight`s, checked by the [`Solver`] fallback
+/// guard; a candidate that fails it is replaced by a fallback solve on the
+/// class alone, and the flag says so.
+fn class_distribution(
+    generator: &SparseGenerator,
+    members: &[usize],
+    weight: &[f64],
+) -> Result<(DVector, bool), CtmcError> {
+    // Closedness keeps every transition of a member inside the class.
+    let local = |j: usize| members.binary_search(&j).ok();
+    let raw = DVector::from_fn(members.len(), |k| weight[members[k]]);
+    if let Ok(pi) = sanitize(raw.scaled(1.0 / raw.sum())) {
+        let mut flow = DVector::zeros(members.len());
+        for (k, &i) in members.iter().enumerate() {
+            for (j, v) in generator.csr().row(i) {
+                if let Some(l) = local(j) {
+                    flow[l] += pi[k] * v;
+                }
+            }
+        }
+        let scale = members
+            .iter()
+            .map(|&i| generator.exit_rate(i))
+            .fold(0.0, f64::max);
+        if distribution_flaw(&pi, flow.norm_inf(), scale).is_none() {
+            return Ok((pi, false));
+        }
+    }
+    let transitions: Vec<(usize, usize, f64)> = members
+        .iter()
+        .enumerate()
+        .flat_map(|(from, &i)| {
+            generator
+                .csr()
+                .row(i)
+                .filter(move |&(j, _)| j != i)
+                .filter_map(move |(j, v)| local(j).map(|to| (from, to, v)))
+        })
+        .collect();
+    let sub = SparseGenerator::from_transitions(members.len(), &transitions)?;
+    let (pi, _) = Solver::new(Method::Lu)
+        .with_default_fallback()
+        .solve(&sub)?;
+    Ok((pi, true))
 }
 
 fn sanitize(mut pi: DVector) -> Result<DVector, CtmcError> {
@@ -1961,6 +2192,31 @@ mod gain_vector_tests {
         let gains = gain_vector(&g, &c).unwrap();
         assert!((gains[0] - 7.0).abs() < 1e-10);
         assert!((gains[1] - 7.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn class_distribution_replaces_a_candidate_failing_the_guard() {
+        // Closed class {0, 1} with π = (3/4, 1/4).
+        let g = SparseGenerator::from_transitions(2, &[(0, 1, 1.0), (1, 0, 3.0)]).unwrap();
+        let (exact, fell_back) = class_distribution(&g, &[0, 1], &[3.0, 1.0]).unwrap();
+        assert_eq!((exact.as_slice(), fell_back), (&[0.75, 0.25][..], false));
+        // A uniform candidate leaves a residual of 1: the fallback solve
+        // on the class replaces it.
+        let (repaired, fell_back) = class_distribution(&g, &[0, 1], &[1.0, 1.0]).unwrap();
+        assert!(fell_back);
+        assert!((repaired[0] - 0.75).abs() < 1e-12);
+        assert!((repaired[1] - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn all_absorbing_chain_needs_no_factorization() {
+        let g = SparseGenerator::from_transitions(3, &[]).unwrap();
+        let chain = ChainGains::new(&g).unwrap();
+        assert_eq!(chain.factor_nnz(), 0);
+        let c = DVector::from_vec(vec![1.0, 2.0, 3.0]);
+        let gains = chain.gains(&c).unwrap();
+        assert_eq!(gains.as_slice(), c.as_slice());
+        assert_eq!(chain.bias(&gains, &c).unwrap().as_slice(), &[0.0; 3]);
     }
 
     #[test]

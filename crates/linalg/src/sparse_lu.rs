@@ -26,7 +26,11 @@
 //! Once the active rows fill [`DENSE_SWITCH`] of the trailing submatrix,
 //! they move into a dense block — at most five times the memory of the
 //! sparse rows it replaces — and elimination finishes there under the same
-//! pivot rule, with contiguous row updates instead of sparse merges.
+//! pivot rule, with contiguous row updates instead of sparse merges. An
+//! input already that dense starts there and keeps its natural column
+//! order.
+//!
+//! [`SparseLu::solve_transposed`] reuses the factors for `Aᵀ x = b`.
 //!
 //! On the generator-shaped systems this workspace solves (`O(1)` entries
 //! per row plus a dense row or column) the factor stays within a small
@@ -260,7 +264,20 @@ impl SparseLu {
         let scale = a.iter().map(|(_, _, v)| v.abs()).fold(1.0f64, f64::max);
         let floor = PIVOT_EPS * scale;
         let dense = dense_threshold(n);
-        let col_perm = min_degree_order(a, dense);
+        // An input that already fills `DENSE_SWITCH` of its `n²` entries
+        // goes straight to the dense block at step 0, so a fill-reducing
+        // order could not save anything: keep the natural column order.
+        let fill: usize = (0..n)
+            .map(|r| match a.row(r).count() {
+                len if len > dense => n,
+                _ => a.row(r).filter(|&(_, v)| nonzero(v)).count(),
+            })
+            .sum();
+        let col_perm = if fill as f64 >= DENSE_SWITCH * (n * n) as f64 {
+            (0..n).collect()
+        } else {
+            min_degree_order(a, dense)
+        };
         let mut step_of = vec![0; n];
         for (k, &c) in col_perm.iter().enumerate() {
             step_of[c] = k;
@@ -470,6 +487,48 @@ impl SparseLu {
         let mut x = DVector::zeros(n);
         for (k, &c) in self.col_perm.iter().enumerate() {
             x[c] = z[k];
+        }
+        Ok(x)
+    }
+
+    /// Solves `Aᵀ x = b` with the same factors: `Aᵀ = Q · Uᵀ · Lᵀ · P`, so
+    /// a forward pass over `Uᵀ` and a backward pass over `Lᵀ`, each
+    /// scattering one factor row at a time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
+    pub fn solve_transposed(&self, b: &DVector) -> Result<DVector, LinalgError> {
+        let n = self.n;
+        if b.len() != n {
+            return Err(LinalgError::DimensionMismatch {
+                operation: "sparse lu transposed solve",
+                left: (n, n),
+                right: (b.len(), 1),
+            });
+        }
+        // w = Qᵀ b; Uᵀ s = w: step k's value is final once every earlier
+        // upper row has scattered into it.
+        let mut w: Vec<f64> = self.col_perm.iter().map(|&c| b[c]).collect();
+        for (k, row) in self.upper.iter().enumerate() {
+            w[k] /= row[0].1;
+            let s = w[k];
+            for &(j, val) in &row[1..] {
+                w[j] -= val * s;
+            }
+        }
+        // Lᵀ t = s: a descending pass, since step k's multipliers reach
+        // only earlier steps.
+        for (k, multipliers) in self.lower.iter().enumerate().rev() {
+            let t = w[k];
+            for &(j, factor) in multipliers {
+                w[j] -= factor * t;
+            }
+        }
+        // P x = t.
+        let mut x = DVector::zeros(n);
+        for (k, &r) in self.row_perm.iter().enumerate() {
+            x[r] = w[k];
         }
         Ok(x)
     }
@@ -874,6 +933,29 @@ mod tests {
         let second = SparseLu::new(&a).unwrap().solve(&b).unwrap();
         for i in 0..300 {
             assert_eq!(first[i].to_bits(), second[i].to_bits(), "component {i}");
+        }
+    }
+
+    #[test]
+    fn input_past_the_dense_switch_keeps_the_natural_order() {
+        // A 30-state cycle with chords: 3 entries per row fill 10% of
+        // 30², so elimination starts on the dense block and the ordering
+        // is skipped.
+        let n = 30;
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            triplets.push((i, i, -3.0 - (i as f64).sin()));
+            triplets.push((i, (i + 1) % n, 1.0));
+            triplets.push((i, (i + 7) % n, 1.5));
+        }
+        let a = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
+        let lu = SparseLu::new(&a).unwrap();
+        assert!(lu.col_perm.iter().copied().eq(0..n));
+        let b = DVector::from_fn(n, |i| (i as f64 * 0.3).cos());
+        let x = lu.solve_transposed(&b).unwrap();
+        let dense = a.to_dense().transpose().lu().unwrap().solve(&b).unwrap();
+        for i in 0..n {
+            assert!((x[i] - dense[i]).abs() < 1e-12, "component {i}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests pinning the sparse LU factorization to the dense
-//! reference: random sparse systems, with and without a dense row, and the
-//! normalization-row systems of random unichain generators with transient
-//! states.
+//! reference: random sparse systems, with and without a dense row, solved
+//! both ways (`A x = b` and `Aᵀ x = b`), and the normalization-row systems
+//! of random unichain generators with transient states.
 
 use dpm_linalg::{CsrMatrix, DMatrix, DVector, SparseLu};
 use proptest::prelude::*;
@@ -96,8 +96,77 @@ fn normalization_system(n: usize, generator: &[(usize, usize, f64)]) -> CsrMatri
     CsrMatrix::from_triplets(n, n, &triplets).expect("valid system")
 }
 
+/// Largest difference between `SparseLu::solve_transposed` on `a` and the
+/// dense LU solve of `Aᵀ`, with the forward-error bound it must meet;
+/// `None` when `a` is singular.
+fn transposed_diff(a: &CsrMatrix, b: &DVector) -> Option<(f64, f64)> {
+    let at = a.transpose().to_dense();
+    let inv_norm = inverse_norm(&at)?;
+    let x = SparseLu::new(a)
+        .expect("non-singular")
+        .solve_transposed(b)
+        .expect("dimension matches");
+    let reference = at
+        .clone()
+        .lu()
+        .expect("non-singular")
+        .solve(b)
+        .expect("dimension matches");
+    let kappa = inv_norm * at.norm_inf();
+    let bound = 1e-12 * kappa.max(1.0) * reference.norm_inf().max(1.0);
+    Some(((&x - &reference).norm_inf(), bound))
+}
+
+#[test]
+fn solve_transposed_matches_dense_lu_past_the_dense_switch() {
+    // Half the entries present: far past the 10% density at which the
+    // factorization skips the fill-reducing ordering and eliminates on a
+    // dense block from the first step.
+    let n = 80;
+    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let mut triplets = Vec::new();
+    for i in 0..n {
+        triplets.push((i, i, 4.0 + rng.gen_range(0.0..1.0)));
+        for j in 0..n {
+            if j != i && rng.gen_bool(0.5) {
+                triplets.push((i, j, rng.gen_range(-1.0..1.0)));
+            }
+        }
+    }
+    let a = CsrMatrix::from_triplets(n, n, &triplets).expect("valid triplets");
+    assert!(a.density() > 0.4);
+    let b = DVector::from_fn(n, |i| ((i * 5 + 1) as f64).cos());
+    let (diff, bound) = transposed_diff(&a, &b).expect("non-singular");
+    assert!(diff <= bound, "diff {diff:e} > bound {bound:e}");
+    let x = SparseLu::new(&a)
+        .expect("non-singular")
+        .solve(&b)
+        .expect("dimension matches");
+    let reference = a
+        .to_dense()
+        .lu()
+        .expect("non-singular")
+        .solve(&b)
+        .expect("dimension matches");
+    assert!((&x - &reference).norm_inf() <= bound);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn solve_transposed_matches_dense_lu_on_random_systems(
+        n in 1usize..=60,
+        seed in 0u64..u64::MAX,
+        dense_row in 0usize..2,
+    ) {
+        let a = random_system(n, seed, dense_row == 1);
+        let b = DVector::from_fn(n, |i| ((i * 3 + 2) as f64).cos());
+        // A singular draw has no reference solution.
+        if let Some((diff, bound)) = transposed_diff(&a, &b) {
+            prop_assert!(diff <= bound, "n {n}: diff {diff:e} > bound {bound:e}");
+        }
+    }
 
     #[test]
     fn sparse_lu_matches_dense_lu_on_random_systems(

@@ -811,60 +811,19 @@ impl MultichainEvaluation {
 /// Evaluates a policy without any unichain assumption: per-state gains via
 /// the communicating-class decomposition, then a bias vector from the
 /// modified evaluation equations (one bias pinned per closed class, that
-/// class's redundant equation dropped).
+/// class's redundant equation dropped). Both come from one sparse
+/// factorization of the policy's generator
+/// ([`dpm_ctmc::stationary::ChainGains`]).
 ///
 /// # Errors
 ///
 /// Propagates policy validation and linear-solver failures.
 pub fn evaluate_multichain(mdp: &Ctmdp, policy: &Policy) -> Result<MultichainEvaluation, MdpError> {
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    let generator = mdp.generator_for(policy)?;
+    let generator = mdp.sparse_generator_for(policy)?;
     let costs = mdp.cost_rates_for(policy)?;
-    let gains = dpm_ctmc::stationary::gain_vector(&generator, &costs)?;
-
-    // Identify closed classes and pin one representative per class.
-    let classes = dpm_ctmc::graph::communicating_classes(&generator);
-    let mut closed = vec![true; classes.len()];
-    for (from, to, _) in generator.transitions() {
-        if classes.class_of(from) != classes.class_of(to) {
-            closed[classes.class_of(from)] = false;
-        }
-    }
-    let mut pinned = vec![false; n];
-    for c in 0..classes.len() {
-        if closed[c] {
-            pinned[classes.members(c)[0]] = true;
-        }
-    }
-    // Unknowns: v_j for non-pinned j. Equations: every non-pinned state's
-    //   c_i - g_i + Σ_j G_ij v_j = 0.
-    let unknowns: Vec<usize> = (0..n).filter(|&j| !pinned[j]).collect();
-    let col_of: Vec<Option<usize>> = {
-        let mut map = vec![None; n];
-        for (c, &j) in unknowns.iter().enumerate() {
-            map[j] = Some(c);
-        }
-        map
-    };
-    let m = unknowns.len();
-    let mut bias = DVector::zeros(n);
-    if m > 0 {
-        let mut a = DMatrix::zeros(m, m);
-        let mut b = DVector::zeros(m);
-        for (row, &i) in unknowns.iter().enumerate() {
-            for (j, &col_slot) in col_of.iter().enumerate() {
-                if let Some(col) = col_slot {
-                    a[(row, col)] = generator.rate(i, j);
-                }
-            }
-            b[row] = gains[i] - costs[i];
-        }
-        let v = a.lu()?.solve(&b)?;
-        for (c, &j) in unknowns.iter().enumerate() {
-            bias[j] = v[c];
-        }
-    }
+    let chain = dpm_ctmc::stationary::ChainGains::new(&generator)?;
+    let gains = chain.gains(&costs)?;
+    let bias = chain.bias(&gains, &costs)?;
     Ok(MultichainEvaluation { gains, bias })
 }
 
