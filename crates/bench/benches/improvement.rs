@@ -1,9 +1,9 @@
 //! Criterion benchmark: solve-phase kernels (PR 5 companion).
 //!
 //! Measures a single policy-improvement sweep — the nested-list reference
-//! against the flattened [`dpm_mdp::ActionCsr`] kernel — and a full policy
-//! iteration under each evaluation backend, on the paper's model at
-//! several queue capacities.
+//! against the flattened [`dpm_mdp::ActionCsr`] kernel — and a full
+//! unichain policy iteration, on the paper's model at several queue
+//! capacities.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpm_core::{PmSystem, SpModel, SrModel};
@@ -51,27 +51,18 @@ fn bench_improvement(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_eval_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("eval_backend");
+fn bench_policy_iteration(c: &mut Criterion) {
+    let mut group = c.benchmark_group("policy_iteration");
     for capacity in [20usize, 50] {
         let sys = system(capacity);
         let mdp = sys.ctmdp(1.0).expect("valid weight");
         let start = Policy::uniform(mdp.n_states(), 0);
-        for (name, backend) in [
-            ("dense", average::EvalBackend::Dense),
-            ("sparse_direct", average::EvalBackend::SparseDirect),
-        ] {
-            let options = average::Options {
-                backend,
-                ..average::Options::default()
-            };
-            group.bench_with_input(BenchmarkId::new(name, capacity), &capacity, |b, _| {
-                b.iter(|| {
-                    average::policy_iteration_multichain(&mdp, start.clone(), &options)
-                        .expect("solvable")
-                });
+        let options = average::Options::default();
+        group.bench_with_input(BenchmarkId::new("unichain", capacity), &capacity, |b, _| {
+            b.iter(|| {
+                average::policy_iteration_from(&mdp, start.clone(), &options).expect("solvable")
             });
-        }
+        });
     }
     group.finish();
 }
@@ -79,6 +70,6 @@ fn bench_eval_backends(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_improvement, bench_eval_backends
+    targets = bench_improvement, bench_policy_iteration
 }
 criterion_main!(benches);

@@ -9,22 +9,19 @@
 //!    [`average::improve_step`], and the CSR kernel
 //!    [`average::improve_step_csr`] — all three must pick identical
 //!    policies.
-//! 2. **Evaluation backends** on a synthetic unichain ring: policy
-//!    iteration under `Dense` and `SparseDirect` must converge to the
-//!    same policy and gain (≤ 1e-10), with per-backend wall time
-//!    recorded. A third, flag-configured backend rides along: `--method` / `--tol` /
-//!    `--precond` / `--restart` map 1:1 onto
-//!    [`dpm_ctmc::stationary::SolverConfig`] via
-//!    [`average::EvalBackend::parse`] + `with_config`, and must agree
-//!    with the dense reference to the Krylov bound (≤ 1e-8).
+//! 2. **Unichain vs multichain policy iteration** on a synthetic unichain
+//!    ring: [`average::policy_iteration_from`] and
+//!    [`average::policy_iteration_multichain`] must converge to the same
+//!    policy and gain (≤ 1e-10), with the wall time of each recorded.
 //! 3. **Solve-phase pipeline**: a weight sweep as a
 //!    [`dpm_harness::solve::SolvePlan`] at 1 worker versus
 //!    `--solve-workers`, checked bit-identical.
 //! 4. **Stationary solver tiers**: sparse direct (`SparseLu`) versus the
 //!    preconditioned Krylov methods (BiCGSTAB / GMRES + ILU(0)) on
 //!    synthetic sparse birth–death chains up to `--tier-states` (default
-//!    100 000) states, recording the direct↔Krylov crossover. All tiers
-//!    must agree pairwise to ≤ 1e-8.
+//!    100 000) states, each at its default `Solver` settings, recording
+//!    the direct↔Krylov crossover. All tiers must agree pairwise to
+//!    ≤ 1e-8.
 //! 5. **Multichain policy iteration** at Q = `--capacity` from the
 //!    min-cost ("stay everywhere") start: the median of `--rounds`
 //!    repeats, the `SparseLu` factor entries of the final policy's
@@ -40,7 +37,6 @@
 //! ```text
 //! cargo run --release -p dpm-bench --bin bench_solve -- \
 //!     [--capacity Q] [--rounds R] [--solve-workers N] \
-//!     [--method NAME] [--tol T] [--precond NAME] [--restart M] \
 //!     [--tier-states N] [--seed S] \
 //!     [--out results/BENCH_solve.json]
 //! ```
@@ -69,7 +65,7 @@ fn paper_mdp(capacity: usize, weight: f64) -> Result<Ctmdp, Box<dyn std::error::
 }
 
 /// A synthetic irreducible unichain ring (every policy unichain), the
-/// substrate for the evaluation-backend comparison.
+/// substrate for the unichain-vs-multichain comparison.
 fn ring(n: usize) -> Ctmdp {
     let mut b = Ctmdp::builder(n);
     for i in 0..n {
@@ -180,10 +176,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "capacity",
         "rounds",
         "solve-workers",
-        "method",
-        "tol",
-        "precond",
-        "restart",
         "tier-states",
         "seed",
         "out",
@@ -193,21 +185,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let solve_workers = args.get_usize("solve-workers", 2)?.max(2);
     let root_seed = args.get_u64("seed", 1300)?;
     let out = args.get_str("out", "results/BENCH_solve.json");
-
-    // Solver-configuration flags: one SolverConfig drives both the
-    // flag-selected evaluation backend and the Krylov stationary tiers.
-    let method_flag = args.get_str("method", "bicgstab");
-    let precond_flag = args.get_str("precond", "ilu0");
-    let solver_config = stationary::SolverConfig {
-        tolerance: args.get_f64("tol", stationary::DEFAULT_TOLERANCE)?,
-        restart: args.get_usize("restart", stationary::DEFAULT_RESTART)?,
-        precond: stationary::Precond::parse(&precond_flag)
-            .ok_or_else(|| format!("--precond {precond_flag}: expected `ilu0` or `none`"))?,
-        ..stationary::SolverConfig::default()
-    };
-    let cli_backend = average::EvalBackend::parse(&method_flag)
-        .ok_or_else(|| format!("--method {method_flag}: not an evaluation backend name"))?
-        .with_config(solver_config);
 
     // ------------------------------------------------------------------
     // 1. Improvement kernels at Q = capacity.
@@ -236,44 +213,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let improvement_fixpoint = from_csr == policy;
 
     // ------------------------------------------------------------------
-    // 2. Evaluation backends on the unichain ring.
+    // 2. Unichain vs multichain policy iteration on the unichain ring.
     // ------------------------------------------------------------------
     let ring_mdp = ring(2 * capacity.max(8));
     let ring_start = Policy::uniform(ring_mdp.n_states(), 1);
-    let mut backend_results = Vec::new();
-    for (name, backend) in [
-        ("dense", average::EvalBackend::Dense),
-        ("sparse_direct", average::EvalBackend::SparseDirect),
-    ] {
-        let options = average::Options {
-            backend,
-            ..average::Options::default()
-        };
-        let (solution, secs) =
-            timed(|| average::policy_iteration_from(&ring_mdp, ring_start.clone(), &options));
-        backend_results.push((name, solution?, secs));
-    }
-    let (_, reference_solution, dense_eval_secs) = &backend_results[0];
-    let mut max_gain_diff = 0.0f64;
-    let mut backends_agree = true;
-    for (_, solution, _) in &backend_results {
-        max_gain_diff = max_gain_diff.max((solution.gain() - reference_solution.gain()).abs());
-        backends_agree &= solution.policy() == reference_solution.policy();
-    }
-    // The flag-configured backend is compared at the Krylov agreement
-    // bound (1e-8, matching the stationary proptests) rather than the
-    // exact-backend bound above.
-    let cli_backend_name = cli_backend.name();
-    let cli_options = average::Options {
-        backend: cli_backend,
-        ..average::Options::default()
-    };
-    let (cli_solution, cli_eval_secs) =
-        timed(|| average::policy_iteration_from(&ring_mdp, ring_start.clone(), &cli_options));
-    let cli_solution = cli_solution?;
-    let cli_gain_diff = (cli_solution.gain() - reference_solution.gain()).abs();
-    let cli_backend_agrees =
-        cli_solution.policy() == reference_solution.policy() && cli_gain_diff <= 1e-8;
+    let options = average::Options::default();
+    let (unichain, unichain_secs) =
+        timed(|| average::policy_iteration_from(&ring_mdp, ring_start.clone(), &options));
+    let unichain = unichain?;
+    let (multichain, multichain_ring_secs) =
+        timed(|| average::policy_iteration_multichain(&ring_mdp, ring_start.clone(), &options));
+    let multichain = multichain?;
+    let ring_gain_diff = (0..ring_mdp.n_states())
+        .map(|i| (multichain.gain_from(i) - unichain.gain()).abs())
+        .fold(0.0, f64::max);
+    let ring_pi_agrees = unichain.policy() == multichain.policy() && ring_gain_diff <= 1e-10;
 
     // ------------------------------------------------------------------
     // 3. Solve-phase pipeline, serial vs parallel.
@@ -332,7 +286,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tier_max_diff = 0.0f64;
     let tier_label = |method: Method| {
         if method.is_krylov() {
-            format!("{}_{}", method.name(), solver_config.precond.name())
+            format!(
+                "{}_{}",
+                method.name(),
+                stationary::Precond::default().name()
+            )
         } else {
             "sparse_lu".to_owned()
         }
@@ -341,13 +299,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let chain = birth_death_sparse(size)?;
         let mut reference = None;
         for method in [Method::Lu, Method::BiCgStab, Method::Gmres] {
-            let (solved, secs) = timed(|| {
-                stationary::Solver::new(method)
-                    .tolerance(solver_config.tolerance)
-                    .restart(solver_config.restart)
-                    .precond(solver_config.precond)
-                    .solve(&chain)
-            });
+            let (solved, secs) = timed(|| stationary::Solver::new(method).solve(&chain));
             let (pi, stats) = solved?;
             let diff = match &reference {
                 None => {
@@ -418,24 +370,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     rule(&widths);
-    for (name, _, secs) in &backend_results {
+    for (name, secs) in [
+        ("ring PI: unichain", unichain_secs),
+        ("ring PI: multichain", multichain_ring_secs),
+    ] {
         row(
             &[
-                format!("eval backend: {name}"),
+                name.into(),
                 format!("{secs:.3e}"),
-                format!("{:.1}x", dense_eval_secs / secs),
+                format!("{:.1}x", unichain_secs / secs),
             ],
             &widths,
         );
     }
-    row(
-        &[
-            format!("eval --method {cli_backend_name}"),
-            format!("{cli_eval_secs:.3e}"),
-            format!("{:.1}x", dense_eval_secs / cli_eval_secs),
-        ],
-        &widths,
-    );
     rule(&widths);
     for (name, secs) in [
         ("solve pipeline: 1 worker", serial_secs),
@@ -484,10 +431,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "\nchecks: improvement kernels agree = {improvement_agrees}, fixpoint = \
-         {improvement_fixpoint},\n        eval backends agree = {backends_agree} \
-         (max gain diff {max_gain_diff:.2e}), pipeline identical = {pipeline_identical},\n        \
-         --method {cli_backend_name} agrees = {cli_backend_agrees} \
-         (gain diff {cli_gain_diff:.2e}),\n        \
+         {improvement_fixpoint},\n        ring unichain PI == multichain PI = {ring_pi_agrees} \
+         (max gain diff {ring_gain_diff:.2e}), pipeline identical = {pipeline_identical},\n        \
          solver tiers agree = {tiers_agree} (max diff {tier_max_diff:.2e}),\n        \
          multichain backward error ok = {multichain_backward_error_ok}"
     );
@@ -503,18 +448,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     params.set("sweep_points", n_sweep);
     params.set("root_seed", root_seed);
     params.set("tier_states", tier_states);
-    params.set("method", cli_backend_name);
-    params.set("precond", solver_config.precond.name());
-    params.set("tol", Json::num(solver_config.tolerance));
-    params.set("restart", solver_config.restart);
     doc.set("params", params);
     let mut checks = Json::object();
     checks.set("improvement_policies_agree", improvement_agrees);
     checks.set("improvement_is_fixpoint", improvement_fixpoint);
-    checks.set("eval_backends_agree", backends_agree);
-    checks.set("eval_backends_max_gain_diff", Json::num(max_gain_diff));
-    checks.set("cli_backend_agrees", cli_backend_agrees);
-    checks.set("cli_backend_gain_diff", Json::num(cli_gain_diff));
+    checks.set("ring_unichain_matches_multichain", ring_pi_agrees);
+    checks.set("ring_max_gain_diff", Json::num(ring_gain_diff));
     checks.set("solve_parallel_identical", pipeline_identical);
     checks.set("stationary_tiers_agree", tiers_agree);
     checks.set("stationary_tiers_max_diff", Json::num(tier_max_diff));
@@ -534,10 +473,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "improve_csr_speedup_vs_dense_scan",
         Json::num(dense_secs / csr_secs),
     );
-    for (name, _, secs) in &backend_results {
-        timers.set(&format!("eval_{name}_secs"), Json::num(*secs));
-    }
-    timers.set("eval_cli_backend_secs", Json::num(cli_eval_secs));
+    timers.set("ring_pi_unichain_secs", Json::num(unichain_secs));
+    timers.set("ring_pi_multichain_secs", Json::num(multichain_ring_secs));
     timers.set("pipeline_serial_secs", Json::num(serial_secs));
     timers.set("pipeline_parallel_secs", Json::num(parallel_secs));
     timers.set("solve_workers", solve_workers);
@@ -558,18 +495,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     if !(improvement_agrees
         && improvement_fixpoint
-        && backends_agree
-        && cli_backend_agrees
+        && ring_pi_agrees
         && pipeline_identical
         && tiers_agree
         && multichain_backward_error_ok)
     {
         artifact::write(&out, &doc)?;
         return Err("solve-phase correctness checks failed (see artifact)".into());
-    }
-    if max_gain_diff > 1e-10 {
-        artifact::write(&out, &doc)?;
-        return Err(format!("eval backends disagree on gain by {max_gain_diff:.2e}").into());
     }
     artifact::write(&out, &doc)?;
     println!("artifact: {out}");

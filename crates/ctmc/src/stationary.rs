@@ -111,7 +111,7 @@ pub enum Method {
 }
 
 impl Method {
-    /// Canonical lowercase name, stable for CLI flags and artifacts.
+    /// Canonical lowercase name, stable for artifact labels and messages.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -121,22 +121,6 @@ impl Method {
             Method::Iterative => "iterative",
             Method::BiCgStab => "bicgstab",
             Method::Gmres => "gmres",
-        }
-    }
-
-    /// Parses the canonical name (as produced by [`Method::name`]);
-    /// returns `None` for anything else. This is the 1:1 mapping used by
-    /// the harness `--method` flag.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Method> {
-        match name {
-            "lu" => Some(Method::Lu),
-            "gth" => Some(Method::Gth),
-            "power" => Some(Method::Power),
-            "iterative" => Some(Method::Iterative),
-            "bicgstab" => Some(Method::BiCgStab),
-            "gmres" => Some(Method::Gmres),
-            _ => None,
         }
     }
 
@@ -160,7 +144,7 @@ pub enum Precond {
 }
 
 impl Precond {
-    /// Canonical lowercase name, stable for CLI flags and artifacts.
+    /// Canonical lowercase name, stable for artifact labels and messages.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -168,21 +152,9 @@ impl Precond {
             Precond::Ilu0 => "ilu0",
         }
     }
-
-    /// Parses the canonical name; the 1:1 mapping for `--precond`.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Precond> {
-        match name {
-            "none" => Some(Precond::None),
-            "ilu0" => Some(Precond::Ilu0),
-            _ => None,
-        }
-    }
 }
 
-/// Numerical knobs shared by every [`Solver`] backend (and reused by the
-/// policy-evaluation backends in `dpm-mdp`, so CLI flags map onto one
-/// struct instead of per-backend constants).
+/// Numerical knobs shared by every [`Solver`] backend.
 ///
 /// `tolerance` is the per-sweep update bound for the stationary
 /// iterations and the relative residual bound for the Krylov methods;
@@ -386,15 +358,6 @@ impl Solver {
     #[must_use]
     pub fn precond(mut self, precond: Precond) -> Solver {
         self.config.precond = precond;
-        self
-    }
-
-    /// Replaces the whole numerical configuration at once — the hook the
-    /// harness CLI and the `dpm-mdp` evaluation backends use to share one
-    /// options struct.
-    #[must_use]
-    pub fn config(mut self, config: SolverConfig) -> Solver {
-        self.config = config;
         self
     }
 
@@ -1124,6 +1087,7 @@ pub fn gain_vector(generator: &Generator, costs: &DVector) -> Result<DVector, Ct
 /// // {0, 1} is a closed class; 2 is transient and drains into it.
 /// let g = SparseGenerator::from_transitions(3, &[(0, 1, 1.0), (1, 0, 3.0), (2, 0, 5.0)])?;
 /// let chain = ChainGains::new(&g)?;
+/// assert_eq!(chain.closed_classes(), 1);
 /// let costs = DVector::from_vec(vec![4.0, 0.0, 9.0]);
 /// let gains = chain.gains(&costs)?;
 /// assert!((gains[2] - 3.0).abs() < 1e-12); // π = (3/4, 1/4)
@@ -1269,6 +1233,13 @@ impl ChainGains {
     #[must_use]
     pub fn n_states(&self) -> usize {
         self.slot.len()
+    }
+
+    /// Number of closed (recurrent) classes; the chain is unichain iff
+    /// this is 1.
+    #[must_use]
+    pub fn closed_classes(&self) -> usize {
+        self.n_closed
     }
 
     /// Stored entries of the sparse factor of `A` (zero when every state
@@ -1685,18 +1656,6 @@ mod solver_api_tests {
     #[test]
     fn default_method_is_gth() {
         assert_eq!(Method::default(), Method::Gth);
-    }
-
-    #[test]
-    fn method_names_round_trip() {
-        for method in ALL_METHODS {
-            assert_eq!(Method::parse(method.name()), Some(method));
-        }
-        assert_eq!(Method::parse("qr"), None);
-        for precond in [Precond::None, Precond::Ilu0] {
-            assert_eq!(Precond::parse(precond.name()), Some(precond));
-        }
-        assert_eq!(Precond::parse("ssor"), None);
     }
 
     #[test]
@@ -2213,6 +2172,7 @@ mod gain_vector_tests {
         let g = SparseGenerator::from_transitions(3, &[]).unwrap();
         let chain = ChainGains::new(&g).unwrap();
         assert_eq!(chain.factor_nnz(), 0);
+        assert_eq!(chain.closed_classes(), 3);
         let c = DVector::from_vec(vec![1.0, 2.0, 3.0]);
         let gains = chain.gains(&c).unwrap();
         assert_eq!(gains.as_slice(), c.as_slice());

@@ -36,8 +36,8 @@
 //! per row plus a dense row or column) the factor stays within a small
 //! multiple of `nnz(A)` — a birth–death chain's normalization system does
 //! not fill at all — and a direct solve does not care how stiff the rate
-//! spectrum is, so the sweep-count caveat of the iterative backends does
-//! not apply.
+//! spectrum is, so the sweep-count caveat of the uniformization-based
+//! iterations does not apply.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -861,8 +861,8 @@ mod tests {
 
     #[test]
     fn stiff_rate_spread_is_solved_directly() {
-        // Rates spanning six orders of magnitude: the regime where the
-        // iterative evaluation backend needs O(rate ratio) sweeps but a
+        // Rates spanning six orders of magnitude: the regime where a
+        // uniformization-based iteration needs O(rate ratio) sweeps but a
         // direct factorization is unaffected.
         let a = DMatrix::from_rows(&[
             &[-1e6, 1e6, 0.0],

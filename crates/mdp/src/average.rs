@@ -16,126 +16,10 @@
 //! all stationary policies (and by Theorem 2.3 of the paper over all
 //! piecewise-stationary ones).
 
-use dpm_ctmc::stationary::{Method, Precond, SolverConfig};
-use dpm_linalg::krylov::{self, Ilu0, KrylovOptions};
-use dpm_linalg::{CsrMatrix, DMatrix, DVector, SparseLu};
+use dpm_ctmc::stationary::ChainGains;
+use dpm_linalg::DVector;
 
 use crate::{ActionCsr, Ctmdp, MdpError, Policy};
-
-/// Margin applied to the uniformization constant by the sparse iterative
-/// evaluation backend.
-const UNIFORMIZATION_MARGIN: f64 = 1.05;
-
-/// Default absolute tolerance on the gain estimate for
-/// [`EvalBackend::SparseIterative`].
-pub const ITERATIVE_GAIN_TOLERANCE: f64 = 1e-9;
-
-/// Default sweep budget for [`EvalBackend::SparseIterative`].
-pub const ITERATIVE_MAX_SWEEPS: usize = 1_000_000;
-
-/// Linear-solver backend used by the policy-evaluation step.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum EvalBackend {
-    /// Dense LU solve of the `n`-unknown evaluation system. Exact to
-    /// rounding, `O(n³)` per evaluation; the default.
-    #[default]
-    Dense,
-    /// Relative value iteration on the uniformized chain over the policy's
-    /// sparse generator. `O(nnz)` per sweep with no dense matrix ever
-    /// assembled, but the sweep count grows with the chain's stiffness:
-    /// the uniformization constant is set by the fastest rate, so the
-    /// sweeps needed scale as `O(instant_rate / slowest_rate)` and the
-    /// default instant-rate surrogate (`χ(s,s) = 10⁶`) needs far more
-    /// than the [`ITERATIVE_MAX_SWEEPS`] budget. Re-pose the model with a
-    /// gentler instant rate (e.g. `PmSystemBuilder::instant_rate(1e2)`,
-    /// which converges comfortably on the paper's models up to Q = 50)
-    /// before selecting this backend — or use [`EvalBackend::SparseDirect`],
-    /// whose factorization cost is independent of the rate spread.
-    SparseIterative,
-    /// Sparse direct LU solve of the evaluation system over the policy's
-    /// CSR generator, with the dense gain column ordered last so fill-in
-    /// stays `O(nnz)`. Exact to rounding like [`EvalBackend::Dense`] but
-    /// near-linear in the state count for generator-shaped sparsity, and —
-    /// unlike [`EvalBackend::SparseIterative`] — indifferent to stiffness:
-    /// instant-rate surrogates cost nothing extra, retiring that backend's
-    /// re-posing caveat.
-    SparseDirect,
-    /// Graceful degradation: the dense LU solve runs first, and a numerical
-    /// failure — a `Singular`-induced [`MdpError::NotUnichain`], any
-    /// [`MdpError::Numerical`], or a non-finite gain/bias — triggers one
-    /// retry with the sparse iterative backend. Costs nothing on healthy
-    /// models (the dense path wins immediately) and keeps policy iteration
-    /// alive on generators conditioned badly enough that LU's relative
-    /// pivot threshold misfires (e.g. uniformly fast rates dwarfing the
-    /// unit gain column).
-    Resilient,
-    /// Preconditioned Krylov solve of the same sparse evaluation system
-    /// [`EvalBackend::SparseDirect`] assembles — `O(nnz)` per iteration
-    /// with no factorization fill-in at all, the tier for 10⁴–10⁶-state
-    /// processes where even the sparse direct factor grows too large.
-    ///
-    /// The variant carries the *same* options struct as
-    /// [`dpm_ctmc::stationary::Solver`] ([`SolverConfig`]), so harness
-    /// CLI flags (`--method`, `--tol`, `--precond`, `--restart`) map 1:1
-    /// onto policy-evaluation configuration instead of per-backend ad-hoc
-    /// constants. A multichain (singular) policy surfaces as
-    /// [`MdpError::NotConverged`] rather than the direct backends'
-    /// [`MdpError::NotUnichain`] — the iteration cannot distinguish the
-    /// two.
-    SparseKrylov {
-        /// Krylov method: [`Method::BiCgStab`] or [`Method::Gmres`]; any
-        /// other method is rejected as an invalid parameter.
-        method: Method,
-        /// Shared solver options (tolerance, iteration budget, GMRES
-        /// restart length, preconditioner).
-        config: SolverConfig,
-    },
-}
-
-impl EvalBackend {
-    /// Canonical lowercase name, stable for CLI flags and artifacts.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            EvalBackend::Dense => "dense",
-            EvalBackend::SparseIterative => "sparse-iterative",
-            EvalBackend::SparseDirect => "sparse-direct",
-            EvalBackend::Resilient => "resilient",
-            EvalBackend::SparseKrylov { method, .. } => method.name(),
-        }
-    }
-
-    /// Parses the canonical name (as produced by [`EvalBackend::name`]);
-    /// Krylov methods get [`SolverConfig::default`], refined afterwards
-    /// with [`EvalBackend::with_config`]. The 1:1 mapping for `--method`.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<EvalBackend> {
-        match name {
-            "dense" => Some(EvalBackend::Dense),
-            "sparse-iterative" => Some(EvalBackend::SparseIterative),
-            "sparse-direct" => Some(EvalBackend::SparseDirect),
-            "resilient" => Some(EvalBackend::Resilient),
-            "bicgstab" | "gmres" => Some(EvalBackend::SparseKrylov {
-                method: Method::parse(name)?,
-                config: SolverConfig::default(),
-            }),
-            _ => None,
-        }
-    }
-
-    /// Replaces the solver options on configurable backends (currently
-    /// [`EvalBackend::SparseKrylov`]); a no-op on the others, so CLI code
-    /// can apply flag-derived configuration unconditionally.
-    #[must_use]
-    pub fn with_config(self, config: SolverConfig) -> EvalBackend {
-        match self {
-            EvalBackend::SparseKrylov { method, .. } => {
-                EvalBackend::SparseKrylov { method, config }
-            }
-            other => other,
-        }
-    }
-}
 
 /// Options for [`policy_iteration`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,8 +33,6 @@ pub struct Options {
     pub improvement_tolerance: f64,
     /// State whose bias is pinned to zero.
     pub reference_state: usize,
-    /// Linear-solver backend for the evaluation step.
-    pub backend: EvalBackend,
 }
 
 impl Default for Options {
@@ -159,7 +41,6 @@ impl Default for Options {
             max_iterations: 1_000,
             improvement_tolerance: 1e-9,
             reference_state: 0,
-            backend: EvalBackend::Dense,
         }
     }
 }
@@ -276,11 +157,15 @@ fn evaluation_residual(
 /// Solves the evaluation equations for `policy`, returning its gain and
 /// bias.
 ///
+/// One sparse factorization of the policy's generator
+/// ([`ChainGains`]) gives the class decomposition, the gain and a bias,
+/// which is then shifted so that `bias[reference_state] == 0`.
+///
 /// # Errors
 ///
 /// Returns [`MdpError::InvalidPolicy`] / [`MdpError::InvalidParameter`] for
-/// mismatched inputs and [`MdpError::NotUnichain`] if the equations are
-/// singular (multichain policy).
+/// mismatched inputs and [`MdpError::NotUnichain`] if the policy's chain
+/// has more than one closed class.
 pub fn evaluate(
     mdp: &Ctmdp,
     policy: &Policy,
@@ -293,329 +178,19 @@ pub fn evaluate(
             reason: format!("reference state {reference_state} out of range for {n} states"),
         });
     }
-    let generator = mdp.generator_for(policy)?;
-    let costs = mdp.cost_rates_for(policy)?;
-
-    // Unknowns: x = (g, v_j for j != reference). Equation for each state i:
-    //   -g + Σ_j G_ij v_j = -c_i       (with v_reference = 0)
-    let col_of = |j: usize| -> Option<usize> {
-        use std::cmp::Ordering;
-        match j.cmp(&reference_state) {
-            Ordering::Less => Some(1 + j),
-            Ordering::Equal => None,
-            Ordering::Greater => Some(j),
-        }
-    };
-    let mut a = DMatrix::zeros(n, n);
-    let mut b = DVector::zeros(n);
-    for i in 0..n {
-        a[(i, 0)] = -1.0;
-        for j in 0..n {
-            if let Some(c) = col_of(j) {
-                a[(i, c)] = generator.rate(i, j);
-            }
-        }
-        b[i] = -costs[i];
-    }
-    let solution = match a.lu() {
-        Ok(lu) => lu.solve(&b).map_err(MdpError::Numerical)?,
-        Err(dpm_linalg::LinalgError::Singular { .. }) => {
-            return Err(MdpError::NotUnichain { iteration: 0 });
-        }
-        Err(e) => return Err(MdpError::Numerical(e)),
-    };
-    let gain = solution[0];
-    let bias = DVector::from_fn(n, |j| match col_of(j) {
-        Some(c) => solution[c],
-        None => 0.0,
-    });
-    Ok(Evaluation { gain, bias })
-}
-
-/// Solves the evaluation equations iteratively over the policy's sparse
-/// generator — relative value iteration `h ← c/Λ + Ph − (c/Λ + Ph)[ref]·1`
-/// on the uniformized chain `P = I + G/Λ`, computed matrix-free in
-/// `O(nnz)` per sweep.
-///
-/// At convergence `Λ·(c/Λ + Ph − h)` is the constant gain vector `g·1` and
-/// `h` is the bias with `h[ref] = 0`, matching [`evaluate`] to the
-/// tolerance. See [`EvalBackend::SparseIterative`] for when this pays off
-/// and the stiffness caveat.
-///
-/// # Errors
-///
-/// As [`evaluate`], except a multichain policy surfaces as
-/// [`MdpError::NotConverged`] (its per-class gains never equalize) rather
-/// than [`MdpError::NotUnichain`].
-pub fn evaluate_iterative(
-    mdp: &Ctmdp,
-    policy: &Policy,
-    reference_state: usize,
-) -> Result<Evaluation, MdpError> {
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    if reference_state >= n {
-        return Err(MdpError::InvalidParameter {
-            reason: format!("reference state {reference_state} out of range for {n} states"),
-        });
-    }
     let generator = mdp.sparse_generator_for(policy)?;
     let costs = mdp.cost_rates_for(policy)?;
-    let lambda = UNIFORMIZATION_MARGIN * generator.max_exit_rate();
-    if lambda <= 0.0 {
-        // No transitions anywhere: unichain only in the single-state case.
-        if n == 1 {
-            return Ok(Evaluation {
-                gain: costs[0],
-                bias: DVector::zeros(1),
-            });
-        }
+    let chain = ChainGains::new(&generator)?;
+    if chain.closed_classes() != 1 {
         return Err(MdpError::NotUnichain { iteration: 0 });
     }
-    let mut scaled_costs = costs;
-    scaled_costs.scale_mut(1.0 / lambda);
-
-    let mut h = DVector::zeros(n);
-    for _ in 0..ITERATIVE_MAX_SWEEPS {
-        // w = c/Λ + P h = c/Λ + h + (G h)/Λ.
-        let mut w = generator.csr().mul_vec(&h);
-        w.scale_mut(1.0 / lambda);
-        w.axpy(1.0, &h);
-        w.axpy(1.0, &scaled_costs);
-
-        let mut min_delta = f64::INFINITY;
-        let mut max_delta = f64::NEG_INFINITY;
-        for i in 0..n {
-            let delta = w[i] - h[i];
-            min_delta = min_delta.min(delta);
-            max_delta = max_delta.max(delta);
-        }
-        let gain = lambda * 0.5 * (max_delta + min_delta);
-        let shift = w[reference_state];
-        h = w.map(|x| x - shift);
-        if lambda * (max_delta - min_delta) <= ITERATIVE_GAIN_TOLERANCE {
-            return Ok(Evaluation { gain, bias: h });
-        }
-    }
-    Err(MdpError::NotConverged {
-        iterations: ITERATIVE_MAX_SWEEPS,
+    let gains = chain.gains(&costs)?;
+    let bias = chain.bias(&gains, &costs)?;
+    let shift = bias[reference_state];
+    Ok(Evaluation {
+        gain: gains[reference_state],
+        bias: bias.map(|v| v - shift),
     })
-}
-
-/// Rejects evaluations contaminated by NaN/Inf — a solver that "succeeds"
-/// with non-finite output must not leak into the improvement step.
-fn require_finite(eval: Evaluation) -> Result<Evaluation, MdpError> {
-    if eval.gain.is_finite() && eval.bias.iter().all(f64::is_finite) {
-        Ok(eval)
-    } else {
-        Err(MdpError::Numerical(dpm_linalg::LinalgError::InvalidInput {
-            reason: "policy evaluation produced non-finite gain or bias".to_owned(),
-        }))
-    }
-}
-
-/// Policy evaluation with graceful degradation ([`EvalBackend::Resilient`]).
-///
-/// The dense solve runs first; on a numerical failure (including non-finite
-/// output) the evaluation is retried with [`evaluate_iterative`]. Validation
-/// errors ([`MdpError::InvalidPolicy`], [`MdpError::InvalidParameter`])
-/// propagate untouched — retrying cannot fix a malformed input.
-///
-/// # Errors
-///
-/// If both backends fail, the dense error is returned: it names the root
-/// cause (e.g. a singular evaluation system), of which the iterative
-/// failure is usually a downstream symptom.
-pub fn evaluate_resilient(
-    mdp: &Ctmdp,
-    policy: &Policy,
-    reference_state: usize,
-) -> Result<Evaluation, MdpError> {
-    match evaluate(mdp, policy, reference_state).and_then(require_finite) {
-        Ok(eval) => Ok(eval),
-        Err(e @ (MdpError::InvalidPolicy { .. } | MdpError::InvalidParameter { .. })) => Err(e),
-        Err(dense_error) => evaluate_iterative(mdp, policy, reference_state)
-            .and_then(require_finite)
-            .map_err(|_| dense_error),
-    }
-}
-
-/// Solves the evaluation equations by sparse direct LU over the policy's
-/// CSR generator ([`EvalBackend::SparseDirect`]).
-///
-/// Unknowns are the bias components (reference state dropped) and the
-/// gain. The gain column is the system's one dense column; the
-/// factorization's own fill-reducing ordering recognizes it and
-/// eliminates it last. Because the solve is direct, stiff rate spectra
-/// (instant-event surrogate rates) cost nothing beyond their entries —
-/// the caveat that forces [`EvalBackend::SparseIterative`] onto re-posed
-/// models does not apply.
-///
-/// # Errors
-///
-/// As [`evaluate`]: validation errors for mismatched inputs,
-/// [`MdpError::NotUnichain`] if the system is singular (multichain policy).
-pub fn evaluate_sparse_direct(
-    mdp: &Ctmdp,
-    policy: &Policy,
-    reference_state: usize,
-) -> Result<Evaluation, MdpError> {
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    if reference_state >= n {
-        return Err(MdpError::InvalidParameter {
-            reason: format!("reference state {reference_state} out of range for {n} states"),
-        });
-    }
-    let generator = mdp.sparse_generator_for(policy)?;
-    let costs = mdp.cost_rates_for(policy)?;
-
-    // Unknowns: x = (v_j for j != reference, then g). Equation for state i:
-    //   Σ_j G_ij v_j − g = −c_i        (with v_reference = 0)
-    let col_of = |j: usize| -> Option<usize> {
-        use std::cmp::Ordering;
-        match j.cmp(&reference_state) {
-            Ordering::Less => Some(j),
-            Ordering::Equal => None,
-            Ordering::Greater => Some(j - 1),
-        }
-    };
-    let mut triplets = Vec::with_capacity(generator.csr().nnz() + n);
-    for (i, j, v) in generator.csr().iter() {
-        if let Some(c) = col_of(j) {
-            triplets.push((i, c, v));
-        }
-    }
-    for i in 0..n {
-        triplets.push((i, n - 1, -1.0));
-    }
-    let a = CsrMatrix::from_triplets(n, n, &triplets).map_err(MdpError::Numerical)?;
-    let b = DVector::from_fn(n, |i| -costs[i]);
-    let solution = match SparseLu::new(&a) {
-        Ok(lu) => lu.solve(&b).map_err(MdpError::Numerical)?,
-        Err(dpm_linalg::LinalgError::Singular { .. }) => {
-            return Err(MdpError::NotUnichain { iteration: 0 });
-        }
-        Err(e) => return Err(MdpError::Numerical(e)),
-    };
-    let gain = solution[n - 1];
-    let bias = DVector::from_fn(n, |j| match col_of(j) {
-        Some(c) => solution[c],
-        None => 0.0,
-    });
-    Ok(Evaluation { gain, bias })
-}
-
-/// Solves the evaluation equations with a preconditioned Krylov method
-/// over the same sparse system [`evaluate_sparse_direct`] assembles
-/// ([`EvalBackend::SparseKrylov`]).
-///
-/// `config` is the shared [`SolverConfig`] from the stationary solver, so
-/// CLI-level tolerance / iteration-budget / restart / preconditioner flags
-/// apply identically to both uses. A singular ILU(0) factorization
-/// downgrades deterministically to the unpreconditioned iteration; a
-/// non-convergent iteration surfaces as [`MdpError::NotConverged`] (a
-/// multichain policy is indistinguishable from slow convergence here —
-/// use a direct backend for the [`MdpError::NotUnichain`] diagnosis).
-///
-/// # Errors
-///
-/// Validation errors as [`evaluate`]; [`MdpError::InvalidParameter`] when
-/// `method` is not [`Method::BiCgStab`] or [`Method::Gmres`];
-/// [`MdpError::NotConverged`] when the iteration budget runs out.
-pub fn evaluate_krylov(
-    mdp: &Ctmdp,
-    policy: &Policy,
-    reference_state: usize,
-    method: Method,
-    config: &SolverConfig,
-) -> Result<Evaluation, MdpError> {
-    if !method.is_krylov() {
-        return Err(MdpError::InvalidParameter {
-            reason: format!("evaluation backend requires a Krylov method, got {method:?}"),
-        });
-    }
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    if reference_state >= n {
-        return Err(MdpError::InvalidParameter {
-            reason: format!("reference state {reference_state} out of range for {n} states"),
-        });
-    }
-    let generator = mdp.sparse_generator_for(policy)?;
-    let costs = mdp.cost_rates_for(policy)?;
-
-    // Same unknown ordering as the sparse direct backend: bias components
-    // for j != reference first, the gain last (its dense column is the
-    // system's only dense column).
-    let col_of = |j: usize| -> Option<usize> {
-        use std::cmp::Ordering;
-        match j.cmp(&reference_state) {
-            Ordering::Less => Some(j),
-            Ordering::Equal => None,
-            Ordering::Greater => Some(j - 1),
-        }
-    };
-    let mut triplets = Vec::with_capacity(generator.csr().nnz() + n);
-    for (i, j, v) in generator.csr().iter() {
-        if let Some(c) = col_of(j) {
-            triplets.push((i, c, v));
-        }
-    }
-    for i in 0..n {
-        triplets.push((i, n - 1, -1.0));
-    }
-    let a = CsrMatrix::from_triplets(n, n, &triplets).map_err(MdpError::Numerical)?;
-    let b = DVector::from_fn(n, |i| -costs[i]);
-    let options = KrylovOptions {
-        tolerance: config.tolerance,
-        max_iterations: config.max_iterations,
-        restart: config.restart,
-    };
-    let precond = match config.precond {
-        Precond::Ilu0 => match Ilu0::new(&a) {
-            Ok(m) => Some(m),
-            // Deterministic downgrade, mirroring the stationary solver.
-            Err(dpm_linalg::LinalgError::Singular { .. }) => None,
-            Err(e) => return Err(MdpError::Numerical(e)),
-        },
-        Precond::None => None,
-    };
-    let result = match method {
-        Method::Gmres => krylov::gmres(&a, &b, precond.as_ref(), &options),
-        _ => krylov::bicgstab(&a, &b, precond.as_ref(), &options),
-    };
-    let solution = match result {
-        Ok(r) => r.solution,
-        Err(dpm_linalg::LinalgError::NotConverged { iterations, .. }) => {
-            return Err(MdpError::NotConverged { iterations });
-        }
-        Err(e) => return Err(MdpError::Numerical(e)),
-    };
-    let gain = solution[n - 1];
-    let bias = DVector::from_fn(n, |j| match col_of(j) {
-        Some(c) => solution[c],
-        None => 0.0,
-    });
-    require_finite(Evaluation { gain, bias })
-}
-
-/// Dispatches the evaluation step according to `backend`.
-fn evaluate_with(
-    mdp: &Ctmdp,
-    policy: &Policy,
-    reference_state: usize,
-    backend: EvalBackend,
-) -> Result<Evaluation, MdpError> {
-    match backend {
-        EvalBackend::Dense => evaluate(mdp, policy, reference_state),
-        EvalBackend::SparseIterative => evaluate_iterative(mdp, policy, reference_state),
-        EvalBackend::SparseDirect => evaluate_sparse_direct(mdp, policy, reference_state),
-        EvalBackend::Resilient => evaluate_resilient(mdp, policy, reference_state),
-        EvalBackend::SparseKrylov { method, config } => {
-            evaluate_krylov(mdp, policy, reference_state, method, &config)
-        }
-    }
 }
 
 /// Test quantity `c_i^a + Σ_j s_{i,j}^a v_j` for action `a` in state `i`
@@ -752,7 +327,7 @@ pub fn policy_iteration_from(
     for iteration in 1..=options.max_iterations {
         // dpm-lint: allow(nondeterminism, reason = "eval_secs is a wall-clock diagnostic in the iteration stats, not part of the solved policy or values")
         let eval_start = std::time::Instant::now();
-        let eval = match evaluate_with(mdp, &policy, options.reference_state, options.backend) {
+        let eval = match evaluate(mdp, &policy, options.reference_state) {
             Err(MdpError::NotUnichain { .. }) => return Err(MdpError::NotUnichain { iteration }),
             other => other?,
         };
@@ -812,8 +387,7 @@ impl MultichainEvaluation {
 /// the communicating-class decomposition, then a bias vector from the
 /// modified evaluation equations (one bias pinned per closed class, that
 /// class's redundant equation dropped). Both come from one sparse
-/// factorization of the policy's generator
-/// ([`dpm_ctmc::stationary::ChainGains`]).
+/// factorization of the policy's generator ([`ChainGains`]).
 ///
 /// # Errors
 ///
@@ -821,7 +395,7 @@ impl MultichainEvaluation {
 pub fn evaluate_multichain(mdp: &Ctmdp, policy: &Policy) -> Result<MultichainEvaluation, MdpError> {
     let generator = mdp.sparse_generator_for(policy)?;
     let costs = mdp.cost_rates_for(policy)?;
-    let chain = dpm_ctmc::stationary::ChainGains::new(&generator)?;
+    let chain = ChainGains::new(&generator)?;
     let gains = chain.gains(&costs)?;
     let bias = chain.bias(&gains, &costs)?;
     Ok(MultichainEvaluation { gains, bias })
@@ -1011,15 +585,71 @@ pub fn policy_iteration_multichain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpm_linalg::DMatrix;
 
     /// Two-state machine: in state 1 (broken) choose slow cheap repair or
     /// fast expensive repair.
-    fn repair_mdp(fast_cost: f64) -> Ctmdp {
+    pub(super) fn repair_mdp(fast_cost: f64) -> Ctmdp {
         let mut b = Ctmdp::builder(2);
         b.action(0, "run", 1.0, &[(1, 1.0)]).unwrap();
         b.action(1, "slow", 5.0, &[(0, 1.0)]).unwrap();
         b.action(1, "fast", fast_cost, &[(0, 10.0)]).unwrap();
         b.build().unwrap()
+    }
+
+    /// Reference evaluation of a unichain policy by one dense LU solve of
+    /// `−g + Σ_j G_ij v_j = −c_i` in the unknowns `(g, v_j for j ≠ ref)`.
+    /// `O(n³)`: the oracle [`evaluate`] is checked against.
+    fn dense_evaluation(mdp: &Ctmdp, policy: &Policy, reference_state: usize) -> Evaluation {
+        let n = mdp.n_states();
+        let generator = mdp.generator_for(policy).unwrap();
+        let costs = mdp.cost_rates_for(policy).unwrap();
+        let col_of = |j: usize| -> Option<usize> {
+            use std::cmp::Ordering;
+            match j.cmp(&reference_state) {
+                Ordering::Less => Some(1 + j),
+                Ordering::Equal => None,
+                Ordering::Greater => Some(j),
+            }
+        };
+        let mut a = DMatrix::zeros(n, n);
+        let mut b = DVector::zeros(n);
+        for i in 0..n {
+            a[(i, 0)] = -1.0;
+            for j in 0..n {
+                if let Some(c) = col_of(j) {
+                    a[(i, c)] = generator.rate(i, j);
+                }
+            }
+            b[i] = -costs[i];
+        }
+        let solution = a.lu().unwrap().solve(&b).unwrap();
+        Evaluation {
+            gain: solution[0],
+            bias: DVector::from_fn(n, |j| col_of(j).map_or(0.0, |c| solution[c])),
+        }
+    }
+
+    /// Asserts that `eval` matches the dense oracle in gain and bias.
+    pub(super) fn assert_matches_dense(
+        mdp: &Ctmdp,
+        policy: &Policy,
+        reference_state: usize,
+        eval: &Evaluation,
+    ) {
+        let dense = dense_evaluation(mdp, policy, reference_state);
+        let scale = 1.0 + dense.gain().abs();
+        assert!(
+            (eval.gain() - dense.gain()).abs() < 1e-10 * scale,
+            "policy {policy}: gain {} vs dense {}",
+            eval.gain(),
+            dense.gain()
+        );
+        let diff = (eval.bias() - dense.bias()).norm_inf();
+        assert!(
+            diff < 1e-9 * (scale + dense.bias().norm_inf()),
+            "policy {policy}: bias diff {diff}"
+        );
     }
 
     #[test]
@@ -1034,6 +664,54 @@ mod tests {
                 eval.gain()
             );
             assert_eq!(eval.bias()[0], 0.0);
+            assert_matches_dense(&mdp, &policy, 0, &eval);
+        }
+    }
+
+    #[test]
+    fn evaluation_handles_transient_states() {
+        // 0 -> 1 <-> 2 under the only policy; state 0 transient.
+        let mut b = Ctmdp::builder(3);
+        b.action(0, "go", 100.0, &[(1, 1.0)]).unwrap();
+        b.action(1, "swap", 2.0, &[(2, 1.0)]).unwrap();
+        b.action(2, "swap", 4.0, &[(1, 1.0)]).unwrap();
+        let mdp = b.build().unwrap();
+        let policy = Policy::new(vec![0, 0, 0]);
+        for reference in 0..3 {
+            let eval = evaluate(&mdp, &policy, reference).unwrap();
+            assert!((eval.gain() - 3.0).abs() < 1e-12);
+            assert_matches_dense(&mdp, &policy, reference, &eval);
+        }
+    }
+
+    #[test]
+    fn uniformly_fast_two_cycle_is_evaluated() {
+        // Rates of 1e14 everywhere put the unit gain column of a dense LU
+        // over the unknowns (g, v) below its relative pivot threshold, so
+        // that solve calls this healthy chain singular. Unichain-ness is
+        // decided by the class count instead.
+        let mut b = Ctmdp::builder(2);
+        b.action(0, "fast", 1.0, &[(1, 1e14)]).unwrap();
+        b.action(1, "fast", 3.0, &[(0, 1e14)]).unwrap();
+        let mdp = b.build().unwrap();
+        let eval = evaluate(&mdp, &Policy::new(vec![0, 0]), 0).unwrap();
+        assert!((eval.gain() - 2.0).abs() < 1e-12, "gain {}", eval.gain());
+        assert_eq!(eval.bias()[0], 0.0);
+        let solution = policy_iteration(&mdp, &Options::default()).unwrap();
+        assert!((solution.gain() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sparse_generator_matches_dense_generator() {
+        let mdp = repair_mdp(9.0);
+        for policy in mdp.enumerate_policies() {
+            let dense = mdp.generator_for(&policy).unwrap();
+            let sparse = mdp.sparse_generator_for(&policy).unwrap();
+            for i in 0..2 {
+                for j in 0..2 {
+                    assert!((dense.rate(i, j) - sparse.rate(i, j)).abs() < 1e-15);
+                }
+            }
         }
     }
 
@@ -1091,6 +769,8 @@ mod tests {
         let e0 = evaluate(&mdp, &policy, 0).unwrap();
         let e1 = evaluate(&mdp, &policy, 1).unwrap();
         assert!((e0.gain() - e1.gain()).abs() < 1e-12);
+        assert_eq!(e0.bias()[0], 0.0);
+        assert_eq!(e1.bias()[1], 0.0);
         // Biases differ by a constant shift.
         let shift = e0.bias()[1] - e1.bias()[1];
         assert!((e0.bias()[0] - (e1.bias()[0] + shift)).abs() < 1e-10);
@@ -1179,342 +859,25 @@ mod tests {
         assert_eq!(solution.policy().action(0), 0);
         assert!((solution.gain() - 2.5).abs() < 1e-12);
     }
-}
-
-#[cfg(test)]
-mod iterative_backend_tests {
-    use super::*;
-
-    fn repair_mdp(fast_cost: f64) -> Ctmdp {
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "run", 1.0, &[(1, 1.0)]).unwrap();
-        b.action(1, "slow", 5.0, &[(0, 1.0)]).unwrap();
-        b.action(1, "fast", fast_cost, &[(0, 10.0)]).unwrap();
-        b.build().unwrap()
-    }
 
     #[test]
-    fn iterative_evaluation_matches_dense() {
-        let mdp = repair_mdp(9.0);
-        for policy in mdp.enumerate_policies() {
-            let dense = evaluate(&mdp, &policy, 0).unwrap();
-            let sparse = evaluate_iterative(&mdp, &policy, 0).unwrap();
-            assert!(
-                (dense.gain() - sparse.gain()).abs() < 1e-7,
-                "policy {policy}: {} vs {}",
-                dense.gain(),
-                sparse.gain()
-            );
-            let diff = (dense.bias() - sparse.bias()).norm_inf();
-            assert!(diff < 1e-6, "policy {policy}: bias diff {diff}");
-        }
-    }
-
-    #[test]
-    fn iterative_evaluation_handles_transient_states() {
-        // 0 -> 1 <-> 2 under the only policy; state 0 transient.
-        let mut b = Ctmdp::builder(3);
-        b.action(0, "go", 100.0, &[(1, 1.0)]).unwrap();
-        b.action(1, "swap", 2.0, &[(2, 1.0)]).unwrap();
-        b.action(2, "swap", 4.0, &[(1, 1.0)]).unwrap();
-        let mdp = b.build().unwrap();
-        let policy = Policy::new(vec![0, 0, 0]);
-        let dense = evaluate(&mdp, &policy, 1).unwrap();
-        let sparse = evaluate_iterative(&mdp, &policy, 1).unwrap();
-        assert!((dense.gain() - sparse.gain()).abs() < 1e-7);
-        assert!((sparse.gain() - 3.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn policy_iteration_agrees_across_backends() {
-        for fast_cost in [2.0, 9.0, 30.0, 100.0] {
-            let mdp = repair_mdp(fast_cost);
-            let dense = policy_iteration(&mdp, &Options::default()).unwrap();
-            let sparse = policy_iteration(
-                &mdp,
-                &Options {
-                    backend: EvalBackend::SparseIterative,
-                    ..Options::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(dense.policy(), sparse.policy(), "fast_cost {fast_cost}");
-            assert!((dense.gain() - sparse.gain()).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn sparse_generator_matches_dense_generator() {
-        let mdp = repair_mdp(9.0);
-        for policy in mdp.enumerate_policies() {
-            let dense = mdp.generator_for(&policy).unwrap();
-            let sparse = mdp.sparse_generator_for(&policy).unwrap();
-            for i in 0..2 {
-                for j in 0..2 {
-                    assert!((dense.rate(i, j) - sparse.rate(i, j)).abs() < 1e-15);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn single_state_iterative_evaluation() {
+    fn single_state_evaluation() {
         let mut b = Ctmdp::builder(1);
         b.action(0, "idle", 2.5, &[]).unwrap();
+        b.action(0, "other", 4.0, &[]).unwrap();
         let mdp = b.build().unwrap();
-        let eval = evaluate_iterative(&mdp, &Policy::new(vec![0]), 0).unwrap();
+        let eval = evaluate(&mdp, &Policy::new(vec![0]), 0).unwrap();
         assert!((eval.gain() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn default_backend_is_dense() {
-        assert_eq!(EvalBackend::default(), EvalBackend::Dense);
-        assert_eq!(Options::default().backend, EvalBackend::Dense);
-    }
-}
-
-#[cfg(test)]
-mod krylov_backend_tests {
-    use super::*;
-
-    fn repair_mdp(fast_cost: f64) -> Ctmdp {
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "run", 1.0, &[(1, 1.0)]).unwrap();
-        b.action(1, "slow", 5.0, &[(0, 1.0)]).unwrap();
-        b.action(1, "fast", fast_cost, &[(0, 10.0)]).unwrap();
-        b.build().unwrap()
-    }
-
-    /// Birth–death service model with rates spanning six orders of
-    /// magnitude — the stiff spectrum the SYS instant-rate surrogate
-    /// produces.
-    fn stiff_mdp() -> Ctmdp {
-        let mut b = Ctmdp::builder(4);
-        b.action(0, "arrive", 0.5, &[(1, 1e-3)]).unwrap();
-        b.action(1, "serve", 2.0, &[(0, 1e3), (2, 1.0)]).unwrap();
-        b.action(2, "serve", 4.0, &[(1, 1e3), (3, 1e-2)]).unwrap();
-        b.action(3, "flush", 8.0, &[(0, 1e3)]).unwrap();
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn krylov_evaluation_matches_dense() {
-        let mdp = repair_mdp(9.0);
-        for policy in mdp.enumerate_policies() {
-            let dense = evaluate(&mdp, &policy, 0).unwrap();
-            for method in [Method::BiCgStab, Method::Gmres] {
-                for precond in [Precond::Ilu0, Precond::None] {
-                    let config = SolverConfig {
-                        precond,
-                        ..SolverConfig::default()
-                    };
-                    let krylov = evaluate_krylov(&mdp, &policy, 0, method, &config).unwrap();
-                    assert!(
-                        (dense.gain() - krylov.gain()).abs() < 1e-8,
-                        "policy {policy} {method:?}/{precond:?}: {} vs {}",
-                        dense.gain(),
-                        krylov.gain()
-                    );
-                    let diff = (dense.bias() - krylov.bias()).norm_inf();
-                    assert!(
-                        diff < 1e-8,
-                        "policy {policy} {method:?}/{precond:?}: {diff}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn krylov_evaluation_handles_stiff_rates() {
-        let mdp = stiff_mdp();
-        let policy = Policy::new(vec![0, 0, 0, 0]);
-        let dense = evaluate(&mdp, &policy, 0).unwrap();
-        for method in [Method::BiCgStab, Method::Gmres] {
-            let eval = evaluate_krylov(&mdp, &policy, 0, method, &SolverConfig::default()).unwrap();
-            assert!(
-                (dense.gain() - eval.gain()).abs() < 1e-8 * (1.0 + dense.gain().abs()),
-                "{method:?}: {} vs {}",
-                dense.gain(),
-                eval.gain()
-            );
-        }
-    }
-
-    #[test]
-    fn policy_iteration_agrees_with_krylov_backend() {
-        for fast_cost in [2.0, 9.0, 30.0, 100.0] {
-            let mdp = repair_mdp(fast_cost);
-            let dense = policy_iteration(&mdp, &Options::default()).unwrap();
-            for method in [Method::BiCgStab, Method::Gmres] {
-                let krylov = policy_iteration(
-                    &mdp,
-                    &Options {
-                        backend: EvalBackend::SparseKrylov {
-                            method,
-                            config: SolverConfig::default(),
-                        },
-                        ..Options::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(dense.policy(), krylov.policy(), "fast_cost {fast_cost}");
-                assert!((dense.gain() - krylov.gain()).abs() < 1e-7);
-            }
-        }
-    }
-
-    #[test]
-    fn krylov_rejects_non_krylov_methods() {
-        let mdp = repair_mdp(9.0);
-        let policy = Policy::new(vec![0, 0]);
-        for method in [Method::Lu, Method::Gth, Method::Power, Method::Iterative] {
-            let err =
-                evaluate_krylov(&mdp, &policy, 0, method, &SolverConfig::default()).unwrap_err();
-            assert!(
-                matches!(err, MdpError::InvalidParameter { .. }),
-                "{method:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        let backends = [
-            EvalBackend::Dense,
-            EvalBackend::SparseIterative,
-            EvalBackend::SparseDirect,
-            EvalBackend::Resilient,
-            EvalBackend::SparseKrylov {
-                method: Method::BiCgStab,
-                config: SolverConfig::default(),
-            },
-            EvalBackend::SparseKrylov {
-                method: Method::Gmres,
-                config: SolverConfig::default(),
-            },
-        ];
-        for backend in backends {
-            let parsed = EvalBackend::parse(backend.name()).unwrap();
-            assert_eq!(parsed, backend, "{}", backend.name());
-        }
-        assert!(EvalBackend::parse("cholesky").is_none());
-    }
-
-    #[test]
-    fn with_config_rewrites_krylov_options_only() {
-        let tight = SolverConfig {
-            tolerance: 1e-6,
-            max_iterations: 123,
-            restart: 7,
-            precond: Precond::None,
-        };
-        let krylov = EvalBackend::parse("gmres").unwrap().with_config(tight);
-        match krylov {
-            EvalBackend::SparseKrylov { method, config } => {
-                assert_eq!(method, Method::Gmres);
-                assert_eq!(config.max_iterations, 123);
-                assert_eq!(config.restart, 7);
-                assert_eq!(config.precond, Precond::None);
-            }
-            other => panic!("unexpected backend {other:?}"),
-        }
-        assert_eq!(
-            EvalBackend::Dense.with_config(tight),
-            EvalBackend::Dense,
-            "with_config must be a no-op off the Krylov backend"
-        );
-    }
-}
-
-#[cfg(test)]
-mod resilient_backend_tests {
-    use super::*;
-
-    fn repair_mdp(fast_cost: f64) -> Ctmdp {
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "run", 1.0, &[(1, 1.0)]).unwrap();
-        b.action(1, "slow", 5.0, &[(0, 1.0)]).unwrap();
-        b.action(1, "fast", fast_cost, &[(0, 10.0)]).unwrap();
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn resilient_matches_dense_on_healthy_models() {
-        let mdp = repair_mdp(9.0);
-        for policy in mdp.enumerate_policies() {
-            let dense = evaluate(&mdp, &policy, 0).unwrap();
-            let resilient = evaluate_resilient(&mdp, &policy, 0).unwrap();
-            assert_eq!(dense, resilient, "policy {policy}");
-        }
-    }
-
-    #[test]
-    fn resilient_survives_lu_pivot_misfire() {
-        // Uniformly fast rates (1e14) push LU's relative pivot threshold
-        // (1e-13 × max|A|) above the unit entries of the gain column, so the
-        // dense backend misdiagnoses this healthy 2-cycle as multichain.
-        // The uniformized chain, by contrast, is perfectly conditioned.
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "fast", 1.0, &[(1, 1e14)]).unwrap();
-        b.action(1, "fast", 3.0, &[(0, 1e14)]).unwrap();
-        let mdp = b.build().unwrap();
-        let policy = Policy::new(vec![0, 0]);
-        assert!(matches!(
-            evaluate(&mdp, &policy, 0),
-            Err(MdpError::NotUnichain { .. })
-        ));
-        let eval = evaluate_resilient(&mdp, &policy, 0).unwrap();
-        assert!((eval.gain() - 2.0).abs() < 1e-6, "gain {}", eval.gain());
-
-        // End-to-end: policy iteration completes instead of aborting.
-        let options = Options {
-            backend: EvalBackend::Resilient,
-            ..Options::default()
-        };
-        let solution = policy_iteration(&mdp, &options).unwrap();
-        assert!((solution.gain() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn resilient_propagates_validation_errors() {
-        let mdp = repair_mdp(9.0);
-        assert!(matches!(
-            evaluate_resilient(&mdp, &Policy::new(vec![0]), 0),
-            Err(MdpError::InvalidPolicy { .. })
-        ));
-        assert!(matches!(
-            evaluate_resilient(&mdp, &Policy::new(vec![0, 0]), 5),
-            Err(MdpError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
-    fn resilient_reports_dense_error_when_both_backends_fail() {
-        // Genuinely multichain: two absorbing states. Neither backend can
-        // produce a unichain evaluation; the dense diagnosis wins.
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "stay", 1.0, &[]).unwrap();
-        b.action(1, "stay", 2.0, &[]).unwrap();
-        let mdp = b.build().unwrap();
-        assert!(matches!(
-            evaluate_resilient(&mdp, &Policy::new(vec![0, 0]), 0),
-            Err(MdpError::NotUnichain { .. })
-        ));
+        let eval = evaluate(&mdp, &Policy::new(vec![1]), 0).unwrap();
+        assert_eq!(eval.gain(), 4.0);
+        assert_eq!(eval.bias().as_slice(), &[0.0]);
     }
 }
 
 #[cfg(test)]
 mod kernel_and_reuse_tests {
+    use super::tests::{assert_matches_dense, repair_mdp};
     use super::*;
-
-    fn repair_mdp(fast_cost: f64) -> Ctmdp {
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "run", 1.0, &[(1, 1.0)]).unwrap();
-        b.action(1, "slow", 5.0, &[(0, 1.0)]).unwrap();
-        b.action(1, "fast", fast_cost, &[(0, 10.0)]).unwrap();
-        b.build().unwrap()
-    }
 
     /// A larger unichain CTMDP (ring with shortcuts) where every policy is
     /// irreducible, so policy iteration takes many improvement rounds.
@@ -1551,67 +914,46 @@ mod kernel_and_reuse_tests {
     fn sparse_direct_matches_dense_evaluation() {
         let mdp = repair_mdp(9.0);
         for policy in mdp.enumerate_policies() {
-            let dense = evaluate(&mdp, &policy, 0).unwrap();
-            let sparse = evaluate_sparse_direct(&mdp, &policy, 0).unwrap();
-            assert!(
-                (dense.gain() - sparse.gain()).abs() < 1e-10,
-                "policy {policy}: {} vs {}",
-                dense.gain(),
-                sparse.gain()
-            );
-            let diff = (dense.bias() - sparse.bias()).norm_inf();
-            assert!(diff < 1e-9, "policy {policy}: bias diff {diff}");
+            let eval = evaluate(&mdp, &policy, 0).unwrap();
+            assert_matches_dense(&mdp, &policy, 0, &eval);
         }
     }
 
     #[test]
     fn sparse_direct_handles_stiff_rates_directly() {
-        // A 1e6 rate spread needs ~1e6 iterative sweeps but is a plain
-        // direct solve; this is the SparseIterative caveat being retired.
+        // A 1e6 rate spread (the instant-event surrogate) costs a direct
+        // solve nothing beyond its entries.
         let mut b = Ctmdp::builder(3);
         b.action(0, "instant", 0.5, &[(1, 1e6)]).unwrap();
         b.action(1, "work", 2.0, &[(2, 1.0)]).unwrap();
         b.action(2, "rest", 1.0, &[(0, 0.5)]).unwrap();
         let mdp = b.build().unwrap();
         let policy = Policy::new(vec![0, 0, 0]);
-        let dense = evaluate(&mdp, &policy, 0).unwrap();
-        let sparse = evaluate_sparse_direct(&mdp, &policy, 0).unwrap();
-        assert!((dense.gain() - sparse.gain()).abs() < 1e-9 * (1.0 + dense.gain().abs()));
+        let eval = evaluate(&mdp, &policy, 0).unwrap();
+        assert_matches_dense(&mdp, &policy, 0, &eval);
     }
 
     #[test]
     fn sparse_direct_diagnoses_multichain_policies() {
+        // Two absorbing states: two closed classes.
         let mut b = Ctmdp::builder(2);
         b.action(0, "stay", 1.0, &[]).unwrap();
         b.action(1, "stay", 2.0, &[]).unwrap();
         let mdp = b.build().unwrap();
         assert!(matches!(
-            evaluate_sparse_direct(&mdp, &Policy::new(vec![0, 0]), 0),
+            evaluate(&mdp, &Policy::new(vec![0, 0]), 0),
             Err(MdpError::NotUnichain { .. })
         ));
-    }
-
-    #[test]
-    fn sparse_direct_backend_reaches_the_same_solution() {
-        for fast_cost in [2.0, 9.0, 30.0, 100.0] {
-            let mdp = repair_mdp(fast_cost);
-            let dense = policy_iteration(&mdp, &Options::default()).unwrap();
-            let sparse = policy_iteration(
-                &mdp,
-                &Options {
-                    backend: EvalBackend::SparseDirect,
-                    ..Options::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(dense.policy(), sparse.policy(), "fast_cost {fast_cost}");
-            assert!((dense.gain() - sparse.gain()).abs() < 1e-10);
-        }
+        assert!(matches!(
+            policy_iteration(&mdp, &Options::default()),
+            Err(MdpError::NotUnichain { iteration: 1 })
+        ));
     }
 }
 
 #[cfg(test)]
 mod multichain_tests {
+    use super::tests::assert_matches_dense;
     use super::*;
 
     /// MDP where "stay put" is legal everywhere, so policies can shatter
@@ -1645,6 +987,7 @@ mod multichain_tests {
         let policy = Policy::new(vec![1, 1, 0]);
         let multi = evaluate_multichain(&mdp, &policy).unwrap();
         let uni = evaluate(&mdp, &policy, 2).unwrap();
+        assert_matches_dense(&mdp, &policy, 2, &uni);
         for i in 0..3 {
             assert!((multi.gains()[i] - uni.gain()).abs() < 1e-10);
         }

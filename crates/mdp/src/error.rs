@@ -38,8 +38,9 @@ pub enum MdpError {
         /// Explanation.
         reason: String,
     },
-    /// The policy-evaluation equations were singular — typically the policy
-    /// induces a multichain process, outside the unichain assumption.
+    /// The policy induces a chain with more than one closed class
+    /// (multichain), outside the unichain assumption. The discrete-time
+    /// evaluator infers this from singular evaluation equations.
     NotUnichain {
         /// The policy-iteration step at which evaluation failed.
         iteration: usize,
@@ -77,7 +78,7 @@ impl fmt::Display for MdpError {
             MdpError::InvalidParameter { reason } => write!(f, "invalid parameter: {reason}"),
             MdpError::NotUnichain { iteration } => write!(
                 f,
-                "policy evaluation singular at iteration {iteration}; policy is not unichain"
+                "policy at iteration {iteration} has more than one closed class; policy is not unichain"
             ),
             MdpError::NotConverged { iterations } => {
                 write!(f, "solver did not converge within {iterations} iterations")

@@ -122,8 +122,10 @@ cargo build --release -q -p dpm-bench --bin bench_solve
     --out "$SMOKE_DIR/bench_solve.json" > /dev/null
 grep -q '"stationary_tiers_agree": true' "$SMOKE_DIR/bench_solve.json"
 # The same run gates multichain policy iteration at Q = 100 on the
-# normwise backward error of its final evaluation.
+# normwise backward error of its final evaluation, and unichain against
+# multichain policy iteration on a unichain ring.
 grep -q '"multichain_backward_error_ok": true' "$SMOKE_DIR/bench_solve.json"
+grep -q '"ring_unichain_matches_multichain": true' "$SMOKE_DIR/bench_solve.json"
 
 echo "=== criterion micro-bench smoke (kernels must stay compiling) ==="
 cargo bench --workspace --no-run -q
